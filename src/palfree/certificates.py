@@ -27,6 +27,23 @@ class Certificate:
         self.evidence[str(key)] = str(value)
 
     def render(self) -> str:
+        """The certificate text.  Raises ValueError rather than write a
+        certificate that parse_certificate would read back differently."""
+        _one_line("command", self.command)
+        _one_line("outcome", self.outcome)
+        for k, v in self.evidence.items():
+            _one_line("evidence key", k)
+            _one_line("evidence value", v)
+            if ": " in k or _is_header(f"{k}: {v}"):
+                raise ValueError(f"evidence {k!r}: {v!r} would not parse back")
+        for name, items in self.lists.items():
+            _one_line("section name", name)
+            if name in ("evidence", "timing"):
+                raise ValueError(f"section name {name!r} is reserved")
+            for item in items:
+                _one_line(f"[{name}] item", item)
+                if _is_header(item) or not item.strip():
+                    raise ValueError(f"[{name}] item {item!r} would not parse back")
         out = [f"{HEADER} {self.schema}",
                f"command: {self.command}",
                f"outcome: {self.outcome}",
@@ -54,6 +71,15 @@ class Certificate:
         return {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}[self.outcome]
 
 
+def _is_header(line: str) -> bool:
+    return line.startswith("[") and line.endswith("]")
+
+
+def _one_line(what: str, text: str) -> None:
+    if text.splitlines() not in ([], [text]):
+        raise ValueError(f"{what} {text!r} spans more than one line")
+
+
 def parse_certificate(text: str) -> Certificate:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(HEADER):
@@ -67,7 +93,7 @@ def parse_certificate(text: str) -> Certificate:
                        lines[2][len("outcome: "):], schema=schema)
     section = None
     for line in lines[3:]:
-        if line.startswith("[") and line.endswith("]"):
+        if _is_header(line):
             section = line[1:-1]
             if section not in ("evidence", "timing"):
                 cert.lists[section] = []

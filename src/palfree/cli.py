@@ -804,7 +804,11 @@ def main(argv=None) -> int:
         for d in report.differences:
             print("  " + d)
         return 1
-    cert = _dispatch(args)
+    try:
+        cert = _dispatch(args)
+    except search_mod.SymmetryError as exc:
+        print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
+        return 2
     out = getattr(args, "out", None)
     if out:
         cert.write(out)

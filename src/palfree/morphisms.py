@@ -44,11 +44,6 @@ class Morphism:
 
     __call__ = apply
 
-    def compose(self, inner: "Morphism") -> "Morphism":
-        """self after inner."""
-        return Morphism(tuple(self.apply(im) for im in inner.images),
-                        self.target_size)
-
     def is_prolongable_on(self, seed: str) -> bool:
         im = self.images[int(seed)]
         return im.startswith(seed) and len(im) >= 2

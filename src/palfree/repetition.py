@@ -180,15 +180,26 @@ class IncrementalFreeChecker:
     Only suffix stretches ending at the appended position are examined, so a
     word built letter by letter with all pushes accepted is free.  Agreement
     with is_free is a tested invariant.
+
+    The word is a str buffer whose first n letters are live, so pop is O(1)
+    and every test is a C-level str.find or slice comparison.  Periods are
+    scanned in bands [P, 2P): any violation at a period p of the band repeats
+    the last need[P] letters p letters earlier (need does not decrease in p),
+    so one find over the band's window yields every candidate, and each is
+    confirmed by one slice comparison.  That makes the test exact for every
+    bound; in a word that was free before the push, the three-squares lemma
+    of Crochemore and Rytter leaves O(1) candidates per band, so a push costs
+    O(log n) Python steps.
     """
 
-    __slots__ = ("num", "den", "strict", "w", "_need")
+    __slots__ = ("num", "den", "strict", "buf", "n", "_need")
 
     def __init__(self, bound: ExponentBound):
         self.num = bound.threshold.numerator
         self.den = bound.threshold.denominator
         self.strict = bound.strict
-        self.w: list[str] = []
+        self.buf = ""  # buf[:n] is the word; letters past n await reuse
+        self.n = 0
         self._need: list[int] = [0]  # _need[p]: match-run making period p violate
 
     def _extend_need(self, upto: int) -> None:
@@ -202,33 +213,40 @@ class IncrementalFreeChecker:
             need.append(k if k > 1 else 1)
 
     def push(self, c: str) -> bool:
-        w = self.w
-        w.append(c)
-        i = len(w) - 1
-        if i == 0:
-            return True
+        n = self.n
+        buf = self.buf
+        if n == len(buf) or buf[n] != c:
+            buf = self.buf = buf[:n] + c
+        n = self.n = n + 1
         need = self._need
-        if len(need) <= i:
-            self._extend_need(i)
-        for p in range(1, i + 1):
-            kneed = need[p]
-            if kneed + p > i + 1:
-                break  # kneed + p grows with p: no longer fits
-            j = i - p
-            if w[j] != c:
-                continue
-            k = 1
-            while k < kneed and w[j - k] == w[i - k]:
-                k += 1
-            if k >= kneed:
-                return False
+        if len(need) <= 2 * n:
+            self._extend_need(2 * n)
+        find = buf.find
+        P = 1
+        m = need[1]
+        while m + P <= n:
+            suffix = buf[n - m:n]
+            end = n - P
+            s = end - P - m + 1
+            s = find(suffix, s if s > 0 else 0, end)
+            while s >= 0:
+                p = n - m - s
+                k = need[p]
+                if k == m or (k + p <= n and buf[n - k - p:n - p] == buf[n - k:n]):
+                    return False
+                s = find(suffix, s + 1, end)
+            P += P
+            m = need[P]
         return True
 
     def pop(self) -> None:
-        self.w.pop()
+        self.n -= 1
 
     def word(self) -> str:
-        return "".join(self.w)
+        return self.buf[:self.n]
+
+    # the current word as an attribute, for callers that trace pushes
+    w = property(word)
 
     def accepts(self, w: str) -> bool:
         """Feed a whole word through push/pop; True iff every push passed."""

@@ -8,6 +8,7 @@ word has no valid extension), so pruning at the first bad letter is sound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -15,9 +16,20 @@ from fractions import Fraction
 
 from .eertree import Eertree
 from .repetition import ExponentBound, IncrementalFreeChecker
-from .words import ALPHABETS, complement
+from .words import ALPHABETS
 
 LONGEST_KEPT = 16
+
+
+def _letter_permutations(alphabet_size: int) -> list[dict]:
+    """str.translate tables of every permutation of the alphabet's letters."""
+    letters = ALPHABETS[alphabet_size]
+    return [str.maketrans(letters, "".join(perm))
+            for perm in itertools.permutations(letters)]
+
+
+class SymmetryError(ValueError):
+    """A symmetry reduction was asked for on constraints it does not preserve."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,24 @@ class SearchConstraints:
         if self.forbidden_factors:
             parts.append("forbidden=" + ",".join(self.forbidden_factors))
         return " ".join(parts)
+
+    def permutation_invariant(self) -> bool:
+        """True when every permutation of the alphabet's letters maps the
+        forbidden set onto itself.  Exponent bounds and palindrome budgets
+        are always invariant, so then the set of words satisfying the
+        constraints is closed under the permutations, which every symmetry
+        reduction assumes."""
+        forbidden = set(self.forbidden_factors)
+        return all(f.translate(t) in forbidden
+                   for t in _letter_permutations(self.alphabet_size)
+                   for f in forbidden)
+
+
+def _require_invariant(c: SearchConstraints) -> None:
+    if not c.permutation_invariant():
+        raise SymmetryError("symmetry reduction needs forbidden factors closed "
+                            "under letter permutations; "
+                            f"{','.join(c.forbidden_factors)} are not")
 
 
 class ConstraintState:
@@ -194,6 +224,8 @@ def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
     least word of length depth_cap otherwise; Inconclusive on node budget."""
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
+    if symmetry:
+        _require_invariant(c)
     t0 = time.monotonic()
     state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
@@ -217,9 +249,10 @@ def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int
     """Exact number of words of each length 0..n satisfying c.
 
     With symmetry=True only words starting with letter 0 are walked and the
-    counts multiplied by the alphabet size; use it only when the constraints
-    are invariant under alphabet permutations (freeness and palindrome
-    budgets are, forbidden-factor sets usually are not)."""
+    counts multiplied by the alphabet size; it raises SymmetryError unless
+    c.permutation_invariant()."""
+    if symmetry:
+        _require_invariant(c)
     state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
     dfs = _DFS(state, letters, n, None, [0] * (n + 1), stop_at_cap=False)
@@ -229,8 +262,8 @@ def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int
     counts = dfs.counts
     counts[0] = 1
     if symmetry:
-        # constraints are complement-invariant; words starting with other
-        # letters are complements of enumerated ones
+        # letter permutations map the enumerated words onto those starting
+        # with any other letter
         factor = c.alphabet_size
         counts = [1] + [x * factor for x in counts[1:]]
     return counts
@@ -419,11 +452,13 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
                        progress=None):
     """All middle windows w[margin:margin+length] over words w of length
     length + 2*margin satisfying c.  With symmetry=True only words starting
-    with letter 0 are walked and the result is closed under complement
-    (valid whenever the constraints are complement-invariant).
+    with letter 0 are walked and the result is closed under letter
+    permutations; it raises SymmetryError unless c.permutation_invariant().
 
     Returns (middles, stats) or raises BudgetExceeded with a frontier.
     """
+    if symmetry:
+        _require_invariant(c)
     total = length + 2 * margin
     state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
@@ -449,7 +484,8 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
         if state.push(letters[0]):
             rec(1)
         state.pop()
-        middles |= {complement(w) for w in middles}
+        middles = {w.translate(t) for t in _letter_permutations(c.alphabet_size)
+                   for w in middles}
     else:
         rec(0)
     return middles, stats

@@ -1,5 +1,6 @@
 import pytest
 
+from palfree.repetition import ExponentBound
 from palfree.structure import named_stream
 
 
@@ -31,3 +32,77 @@ def brute_critical_exponent(w):
             if e > best:
                 best = e
     return best
+
+
+class PerPeriodFreeChecker:
+    """Definitional oracle for repetition.IncrementalFreeChecker: the same
+    push/pop API, testing every period up to i/beta letter by letter.
+
+    Push/pop letters; push returns False when some repetition violating
+    the bound ends at the new letter.
+
+    Only suffix stretches ending at the appended position are examined, so a
+    word built letter by letter with all pushes accepted is free.  Agreement
+    with is_free is a tested invariant.
+    """
+
+    __slots__ = ("num", "den", "strict", "w", "_need")
+
+    def __init__(self, bound: ExponentBound):
+        self.num = bound.threshold.numerator
+        self.den = bound.threshold.denominator
+        self.strict = bound.strict
+        self.w: list[str] = []
+        self._need: list[int] = [0]  # _need[p]: match-run making period p violate
+
+    def _extend_need(self, upto: int) -> None:
+        need = self._need
+        num, den = self.num, self.den
+        for q in range(len(need), upto + 1):
+            if self.strict:
+                k = (q * (num - den)) // den + 1
+            else:
+                k = -((-q * (num - den)) // den)
+            need.append(k if k > 1 else 1)
+
+    def push(self, c: str) -> bool:
+        w = self.w
+        w.append(c)
+        i = len(w) - 1
+        if i == 0:
+            return True
+        need = self._need
+        if len(need) <= i:
+            self._extend_need(i)
+        for p in range(1, i + 1):
+            kneed = need[p]
+            if kneed + p > i + 1:
+                break  # kneed + p grows with p: no longer fits
+            j = i - p
+            if w[j] != c:
+                continue
+            k = 1
+            while k < kneed and w[j - k] == w[i - k]:
+                k += 1
+            if k >= kneed:
+                return False
+        return True
+
+    def pop(self) -> None:
+        self.w.pop()
+
+    def word(self) -> str:
+        return "".join(self.w)
+
+    def accepts(self, w: str) -> bool:
+        """Feed a whole word through push/pop; True iff every push passed."""
+        ok = True
+        n = 0
+        for c in w:
+            n += 1
+            if not self.push(c):
+                ok = False
+                break
+        for _ in range(n):
+            self.pop()
+        return ok

@@ -1,6 +1,8 @@
 import shlex
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palfree.certificates import (Certificate, compare_certificates,
                                   parse_certificate, read_certificate)
@@ -67,3 +69,32 @@ def test_exit_code_contract():
     assert Certificate("c", "pass").exit_code == 0
     assert Certificate("c", "fail").exit_code == 1
     assert Certificate("c", "inconclusive").exit_code == 2
+
+
+def test_render_refuses_text_that_would_not_parse_back():
+    with_newline = Certificate("cmd", "pass")
+    with_newline.put("k", "v\nw")
+    key_with_separator = Certificate("cmd", "pass", {"a: b": "c"})
+    header_evidence = Certificate("cmd", "pass", {"[a": "b]"})
+    header_item = Certificate("cmd", "pass", lists={"words": ["[evidence]"]})
+    item_with_newline = Certificate("cmd", "pass", lists={"words": ["0\n1"]})
+    for cert in (with_newline, key_with_separator, header_evidence, header_item,
+                 item_with_newline):
+        with pytest.raises(ValueError):
+            cert.render()
+
+
+_TEXT = st.text(alphabet="ab :[]\n\r\x85", max_size=6)
+
+
+@settings(max_examples=300)
+@given(_TEXT, st.sampled_from(["pass", "fail", "inconclusive"]),
+       st.dictionaries(_TEXT, _TEXT, max_size=3),
+       st.dictionaries(_TEXT, st.lists(_TEXT, max_size=3), max_size=3))
+def test_render_parse_roundtrips_or_refuses(command, outcome, evidence, lists):
+    cert = Certificate(command, outcome, evidence, lists, wall_ms=3)
+    try:
+        text = cert.render()
+    except ValueError:
+        return
+    assert parse_certificate(text).comparable() == cert.comparable()

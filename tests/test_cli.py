@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -120,3 +123,20 @@ def test_cert_out_file(tmp_path):
     assert code == 0
     text = path.read_text()
     assert text.startswith("palfree certificate 1")
+
+
+def test_optimality_cli_rejects_symmetry_with_asymmetric_forbid(capsys):
+    code = main(["optimality", "--alphabet", "2", "--cap", "5", "--symmetry",
+                 "--forbid", "0"])
+    assert code == 2
+    assert "symmetry" in capsys.readouterr().err
+
+
+def test_python_dash_m_palfree_runs_the_cli():
+    import palfree
+    src = os.path.dirname(os.path.dirname(palfree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "palfree", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify-morphism" in proc.stdout

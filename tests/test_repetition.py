@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_critical_exponent
+from conftest import PerPeriodFreeChecker, brute_critical_exponent
 from palfree import runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
                                 critical_exponent, exponent_of, is_free,
@@ -159,6 +159,35 @@ def test_incremental_checker_agreement_exhaustive():
 def test_incremental_accepts_iff_free(w, spec):
     b = ExponentBound.parse(spec)
     assert IncrementalFreeChecker(b).accepts(w) == (is_free(w, b) is None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["7/3+", "2", "5/2+", "3", "13/5", "28/11+", "10/3+",
+                        "3+", "7/4", "3/2+"]),
+       st.sampled_from(["01", "012", "0123"]),
+       st.booleans(),
+       st.lists(st.integers(-1, 3), max_size=400))
+def test_incremental_checker_matches_per_period_oracle(spec, alphabet,
+                                                        undo_rejected, ops):
+    """Random push/pop walks: -1 pops (when the word is non-empty), other
+    values push a letter.  With undo_rejected a refused letter is popped at
+    once, as the DFS callers do, so the words stay free and grow long;
+    without it pushes also land on words that already repeat too much."""
+    b = ExponentBound.parse(spec)
+    fast, oracle = IncrementalFreeChecker(b), PerPeriodFreeChecker(b)
+    for op in ops:
+        if op < 0:
+            if oracle.word():
+                fast.pop()
+                oracle.pop()
+        else:
+            c = alphabet[op % len(alphabet)]
+            ok = fast.push(c)
+            assert ok == oracle.push(c), (oracle.word(), spec)
+            if undo_rejected and not ok:
+                fast.pop()
+                oracle.pop()
+        assert fast.word() == oracle.word()
 
 
 @given(st.text(alphabet="0123", min_size=1, max_size=60))

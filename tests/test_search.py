@@ -7,7 +7,8 @@ from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             TERNARY_FORBIDDEN, ExhaustionCertificate,
                             Inconclusive, Reached, SearchConstraints,
-                            count_words, estimate_growth, factor_equivalence,
+                            SymmetryError, count_words, estimate_growth,
+                            extendable_middles, factor_equivalence,
                             prove_preimage_forbidden, replay_proof,
                             run_preimage_family, search)
 
@@ -93,6 +94,39 @@ def test_forbidden_factor_constraint():
     assert res.witness == "01" * 32
     counts = count_words(c, 12, symmetry=True)
     assert counts[12] == 2  # (01)^6 and (10)^6
+
+
+def test_permutation_invariance_of_forbidden_sets():
+    assert SearchConstraints(2, cubefree(), 8).permutation_invariant()
+    assert SearchConstraints(2, None, None, ("00", "11")).permutation_invariant()
+    assert not SearchConstraints(2, None, None, ("0",)).permutation_invariant()
+    # closed under the swap 0<->1 but not under permutations moving letter 2
+    assert not SearchConstraints(3, None, None, ("01", "10")).permutation_invariant()
+
+
+def test_search_rejects_symmetry_on_asymmetric_constraints():
+    c = SearchConstraints(2, None, None, ("0",))
+    with pytest.raises(SymmetryError):
+        search(c, 5, symmetry=True)
+    assert isinstance(search(c, 5, symmetry=False), Reached)  # 11111
+
+
+def test_count_words_rejects_symmetry_on_asymmetric_constraints():
+    c = SearchConstraints(2, None, None, ("0",))
+    with pytest.raises(SymmetryError):
+        count_words(c, 4, symmetry=True)
+    assert count_words(c, 4, symmetry=False) == [1, 1, 1, 1, 1]
+
+
+def test_extendable_middles_symmetry_guard_and_closure():
+    with pytest.raises(SymmetryError):
+        extendable_middles(SearchConstraints(2, None, None, ("0",)), 3, 1,
+                           symmetry=True)
+    # ternary: the reduced walk must be closed under every letter permutation
+    c = SearchConstraints(3, ExponentBound(F(2), strict=False))
+    full, _ = extendable_middles(c, 3, 1)
+    reduced, _ = extendable_middles(c, 3, 1, symmetry=True)
+    assert reduced == full and full
 
 
 def test_estimate_growth_exact_geometric():

@@ -651,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--word", required=True)
     s.add_argument("--max-bs", type=int, default=200)
     s.add_argument("--complexity-n", type=int, default=500)
-    s.add_argument("--report", choices=("families",), default="families")
 
     s = sub.add_parser("palindromes", help="stabilized distinct-palindrome count")
     s.add_argument("--word", required=True)

@@ -101,8 +101,8 @@ def _max_stretch_exact(w: str) -> tuple[int, int, int]:
 def critical_exponent(w: str, with_witness: bool = False):
     """max over factors v of |v| / smallest period of v, as an exact Fraction.
 
-    Small words get a direct quadratic scan; large ones the divide and
-    conquer stretch enumeration, which is exact whenever the answer is >= 2
+    Small words get a direct quadratic scan; large ones the run scan of
+    runs.max_stretch_ratio, which is exact whenever the answer is >= 2
     (otherwise the quadratic scan is rerun, which only pathological long
     square-free inputs trigger).
     """

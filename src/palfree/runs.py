@@ -1,116 +1,92 @@
-"""Maximal periodic stretches by divide and conquer (Z-function based).
+"""Runs (maximal stretches of exponent >= 2) by banded block sampling.
 
-A stretch is a pair (length, period): a factor of that length all of whose
-positions i satisfy w[i] == w[i+period].  Every stretch of exponent >= 2
-(a run) crossing a split midpoint is recovered exactly from four Z-arrays,
-so the recursion sees every run; stretches of exponent < 2 are only found
-inside the small base cases.  Callers must therefore treat results below
-exponent 2 as a lower bound (see repetition.critical_exponent).
+A stretch is a triple (length, period, start): a factor of that length all
+of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
+iter_runs yields every stretch with length >= 2*period exactly once;
+stretches of exponent < 2 are never reported, so callers treat a maximum
+below 2 as "no run" (see repetition.critical_exponent).
+
+Periods are scanned in bands [P, 2P) with blocks w[i:i+h], h = max(1, P//2),
+at every multiple i of h.  A run of length L >= 2p and period p in the band,
+starting at s, holds both w[i:i+h] and its copy w[i+p:i+p+h] for every i in
+[s, s + L - p - h]: at least p - h + 1 > h positions, so one of them is a
+multiple of h.  One str.find of each block over the window p in [P, 2P)
+yields every candidate period; a candidate whose block pair lies inside the
+last stretch found at that period belongs to it and is skipped, and any
+other is extended to its stretch by two longest-common-extension queries
+(galloping slice comparisons, backwards ones on the reversed word).  This is
+the line of Kolpakov and Kucherov (FOCS 1999); see also Bannai et al., "The
+'Runs' Theorem", SIAM J. Comput. 2017.
 """
 
 from __future__ import annotations
 
-_BASE = 64
+
+def _lce(s: str, a: int, b: int) -> int:
+    """Length of the longest common prefix of s[a:] and s[b:], a != b."""
+    k = 0
+    step = 1
+    while s[a + k:a + k + step] == s[b + k:b + k + step]:
+        k += step
+        step += step
+    # the remaining extension is below step, a power of two: add its bits
+    step >>= 1
+    while step:
+        if s[a + k:a + k + step] == s[b + k:b + k + step]:
+            k += step
+        step >>= 1
+    return k
 
 
-def zfunc(s: str) -> list[int]:
-    n = len(s)
-    z = [0] * n
-    if n == 0:
-        return z
-    z[0] = n
-    l = r = 0
-    for i in range(1, n):
-        zi = 0
-        if i < r:
-            zi = z[i - l]
-            if zi > r - i:
-                zi = r - i
-        while i + zi < n and s[zi] == s[i + zi]:
-            zi += 1
-        z[i] = zi
-        if i + zi > r:
-            l, r = i, i + zi
-    return z
-
-
-def _stretches_small(w: str, emit) -> None:
-    """Emit (length, period, start) for every maximal stretch, every period."""
+def iter_runs(w: str, min_period: int = 1):
+    """Yield (length, period, start) for every maximal stretch with
+    period >= min_period and length >= 2*period, each once."""
     n = len(w)
-    for p in range(1, n):
-        run = 0
-        for i in range(p, n):
-            if w[i] == w[i - p]:
-                run += 1
-                if i == n - 1 or w[i + 1] != w[i + 1 - p]:
-                    emit(run + p, p, i - run - p + 1)
-            else:
-                run = 0
+    rev = w[::-1]
+    find = w.find
+    P = 1 << (min_period.bit_length() - 1)
+    while 2 * max(P, min_period) <= n:
+        h = P // 2 or 1
+        lo = max(P, min_period)
+        span = 2 * P - 1 + h
+        last = [0] * P  # last[p - P]: end of the last stretch found at period p
+        for i in range(0, n - lo - h + 1, h):
+            block = w[i:i + h]
+            end = min(i + span, n)
+            j = find(block, i + lo, end)
+            while j >= 0:
+                p = j - i
+                if j + h > last[p - P]:
+                    # most candidates extend by nothing: test one letter first
+                    st = i
+                    if i and w[i - 1] == w[j - 1]:
+                        st -= _lce(rev, n - i, n - j)
+                    stop = j + h
+                    if stop < n and w[stop] == w[i + h]:
+                        stop += _lce(w, i + h, stop)
+                    last[p - P] = stop
+                    if stop - st >= 2 * p:
+                        yield stop - st, p, st
+                j = find(block, j + 1, end)
+        P += P
 
 
 def max_stretch_ratio(w: str, min_period: int = 1):
     """(length, period, start) maximizing length/period over all maximal
-    stretches found with period >= min_period; exact for the maximum
-    whenever that maximum is >= 2."""
-    best = (1, min_period, 0)
-
-    def consider(ln, p, st):
-        nonlocal best
-        if p >= min_period and ln * best[1] > best[0] * p:
-            best = (ln, p, st)
-
-    _scan(w, 0, len(w), consider)
-    return best
+    stretches with period >= min_period, ties going to the leftmost start,
+    then the shortest period; exact whenever that maximum is >= 2, and
+    (1, min_period, 0) when there is no run."""
+    bl, bp, bs = 1, min_period, 0
+    for ln, p, st in iter_runs(w, min_period):
+        a, b = ln * bp, bl * p
+        if a > b or (a == b and (st, p) < (bs, bp)):
+            bl, bp, bs = ln, p, st
+    return bl, bp, bs
 
 
 def violations(w: str, num: int, den: int, strict: bool):
     """All maximal stretches violating the bound num/den, as
     (length, period, start) triples.  Complete whenever num/den >= 2."""
-    out = []
-
-    def consider(ln, p, st):
-        if (ln * den > p * num) if strict else (ln * den >= p * num):
-            out.append((ln, p, st))
-
-    _scan(w, 0, len(w), consider)
-    return out
-
-
-def _scan(w: str, lo: int, hi: int, consider) -> None:
-    n = hi - lo
-    if n <= _BASE:
-        sub = w[lo:hi]
-        _stretches_small(sub, lambda ln, p, st: consider(ln, p, lo + st))
-        return
-    mid = lo + n // 2
-    _scan(w, lo, mid, consider)
-    _scan(w, mid, hi, consider)
-    u = w[lo:mid]
-    v = w[mid:hi]
-    lu, lv = len(u), len(v)
-    ru = u[::-1]
-    z_ru = zfunc(ru)
-    z_uv = zfunc(v + "\x00" + w[lo:hi])
-    # period window ends at the midpoint: compare positions mid-p+t / mid+t
-    for p in range(1, lu + 1):
-        b = z_ru[p] if p < lu else 0
-        if b > lu - p:
-            b = lu - p
-        f = z_uv[lv + 1 + lu - p]
-        if f > lv:
-            f = lv
-        if b + f >= 1:
-            consider(p + b + f, p, lo + lu - p - b)
-    rw = w[lo:hi][::-1]
-    z_rur = zfunc(ru + "\x00" + rw)
-    z_v = zfunc(v)
-    # period window starts at the midpoint: compare positions mid+t / mid+p+t
-    for p in range(1, lv + 1):
-        f = z_v[p] if p < lv else 0
-        if f > lv - p:
-            f = lv - p
-        b = z_rur[lu + 1 + (n - lu - p)]
-        if b > lu:
-            b = lu
-        if b + f >= 1:
-            consider(p + b + f, p, lo + lu - b)
+    if strict:
+        return [r for r in iter_runs(w) if r[0] * den > r[1] * num]
+    return [r for r in iter_runs(w) if r[0] * den >= r[1] * num]

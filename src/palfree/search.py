@@ -67,7 +67,13 @@ def _require_invariant(c: SearchConstraints) -> None:
 
 
 class ConstraintState:
-    """Push/pop state for all constraint kinds at once."""
+    """Push/pop state for all constraint kinds at once.
+
+    Forbidden factors are tested with str.endswith on a str buffer as in
+    IncrementalFreeChecker: the checker's own when there is an exponent
+    bound, so the letters are kept once, and otherwise buf[:n] of this
+    object, kept only when there are forbidden factors.  The callers keep
+    the words they walk."""
 
     def __init__(self, c: SearchConstraints):
         self.c = c
@@ -75,33 +81,34 @@ class ConstraintState:
         self.tree = Eertree() if c.palindrome_budget is not None else None
         self.pal_limit = (c.palindrome_budget - 1) if c.palindrome_budget is not None else None
         self.forbidden = tuple(c.forbidden_factors)
-        self.word: list[str] = []
+        self.buf = ""
+        self.n = 0
 
     def push(self, ch: str) -> bool:
         """Append ch; False when the extension violates a constraint.
         The letter stays pushed either way; always pair with pop()."""
-        self.word.append(ch)
         ok = True
         if self.free is not None:
             ok = self.free.push(ch)
+        elif self.forbidden:
+            n = self.n
+            if n == len(self.buf) or self.buf[n] != ch:
+                self.buf = self.buf[:n] + ch
+            self.n = n + 1
         if self.tree is not None:
             self.tree.push(ch)
             if ok and self.tree.count() > self.pal_limit:
                 ok = False
         if ok and self.forbidden:
-            w = self.word
-            n = len(w)
-            for f in self.forbidden:
-                lf = len(f)
-                if lf <= n and "".join(w[n - lf:]) == f:
-                    ok = False
-                    break
+            text = self if self.free is None else self.free
+            ok = not text.buf.endswith(self.forbidden, 0, text.n)
         return ok
 
     def pop(self) -> None:
-        self.word.pop()
         if self.free is not None:
             self.free.pop()
+        elif self.forbidden:
+            self.n -= 1
         if self.tree is not None:
             self.tree.pop()
 
@@ -160,7 +167,7 @@ class _DFS:
                     break
                 pushed += 1
             if ok:
-                self._note(len(root))
+                self._note(root)
                 if len(root) == self.depth_cap:
                     if self.stop_at_cap and self.witness is None:
                         self.witness = root
@@ -176,7 +183,8 @@ class _DFS:
                 break
         return None
 
-    def _note(self, depth: int) -> None:
+    def _note(self, word: str) -> None:
+        depth = len(word)
         if depth > self.max_depth:
             self.max_depth = depth
             self.longest = []
@@ -184,7 +192,7 @@ class _DFS:
         if depth == self.max_depth:
             self.longest_count += 1
             if len(self.longest) < LONGEST_KEPT:
-                self.longest.append("".join(self.state.word) if self.state.word else "")
+                self.longest.append(word)
         if self.counts is not None and depth < len(self.counts):
             self.counts[depth] += 1
 
@@ -197,7 +205,7 @@ class _DFS:
             self.nodes += 1
             if state.push(ch):
                 word = prefix + ch
-                self._note(depth + 1)
+                self._note(word)
                 if depth + 1 == self.depth_cap:
                     if self.stop_at_cap:
                         self.witness = word
@@ -465,29 +473,29 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
     middles: set[str] = set()
     stats = {"nodes": 0, "leaves": 0}
 
-    def rec(depth: int) -> None:
-        if depth == total:
+    def rec(word: str) -> None:
+        if len(word) == total:
             stats["leaves"] += 1
-            middles.add("".join(state.word[margin:margin + length]))
+            middles.add(word[margin:margin + length])
             return
         for ch in letters:
             stats["nodes"] += 1
             if node_budget is not None and stats["nodes"] > node_budget:
                 raise BudgetExceeded(middles, stats)
             if state.push(ch):
-                rec(depth + 1)
+                rec(word + ch)
             state.pop()
-        if progress is not None and depth <= 2:
+        if progress is not None and len(word) <= 2:
             progress(stats)
 
     if symmetry:
         if state.push(letters[0]):
-            rec(1)
+            rec(letters[0])
         state.pop()
         middles = {w.translate(t) for t in _letter_permutations(c.alphabet_size)
                    for w in middles}
     else:
-        rec(0)
+        rec("")
     return middles, stats
 
 

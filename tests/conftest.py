@@ -34,6 +34,23 @@ def brute_critical_exponent(w):
     return best
 
 
+def maximal_stretches(w):
+    """Definitional oracle for runs.iter_runs: (length, period, start) of
+    every maximal stretch at every period, by a quadratic letter scan."""
+    out = []
+    n = len(w)
+    for p in range(1, n):
+        run = 0
+        for i in range(p, n):
+            if w[i] == w[i - p]:
+                run += 1
+                if i == n - 1 or w[i + 1] != w[i + 1 - p]:
+                    out.append((run + p, p, i - run - p + 1))
+            else:
+                run = 0
+    return out
+
+
 class PerPeriodFreeChecker:
     """Definitional oracle for repetition.IncrementalFreeChecker: the same
     push/pop API, testing every period up to i/beta letter by letter.

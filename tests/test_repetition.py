@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PerPeriodFreeChecker, brute_critical_exponent
-from palfree import runs
+from conftest import (PerPeriodFreeChecker, brute_critical_exponent,
+                      maximal_stretches)
+from palfree import repetition, runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
-                                critical_exponent, exponent_of, is_free,
-                                smallest_period)
+                                _first_violation_scan, critical_exponent,
+                                exponent_of, is_free, smallest_period)
 
 F = Fraction
 
@@ -46,34 +47,78 @@ def test_integer_powers():
 
 
 def test_runs_match_exact_scan_exhaustive():
-    # exercise the divide and conquer via a tiny base case
-    old = runs._BASE
-    runs._BASE = 4
-    try:
-        for n in range(1, 13):
-            for tup in product("01", repeat=n):
-                s = "".join(tup)
-                ln, p, st_ = runs.max_stretch_ratio(s)
-                exact = brute_critical_exponent(s)
-                got = F(ln, p)
-                assert got <= exact
-                if exact >= 2:
-                    assert got == exact, s
-                assert s[st_:st_ + ln] == s[st_:st_ + ln]  # in range
-    finally:
-        runs._BASE = old
+    for n in range(1, 13):
+        for tup in product("01", repeat=n):
+            s = "".join(tup)
+            ln, p, st_ = runs.max_stretch_ratio(s)
+            exact = brute_critical_exponent(s)
+            got = F(ln, p)
+            assert got <= exact
+            if exact >= 2:
+                assert got == exact, s
+            assert s[st_:st_ + ln] == s[st_:st_ + ln]  # in range
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="01", min_size=80, max_size=250))
 def test_runs_on_longer_random_words(w):
-    old = runs._BASE
-    runs._BASE = 16
-    try:
-        ln, p, _ = runs.max_stretch_ratio(w)
-        assert F(ln, p) == brute_critical_exponent(w)  # long random binary words have squares
-    finally:
-        runs._BASE = old
+    ln, p, _ = runs.max_stretch_ratio(w)
+    assert F(ln, p) == brute_critical_exponent(w)  # long random binary words have squares
+
+
+def _flip(w, i):
+    i %= len(w)
+    return w[:i] + ("1" if w[i] == "0" else "0") + w[i + 1:]
+
+
+# random words over 1-3 letters, and the periodic words that put the most
+# candidates into each band of the run scan
+run_scan_words = st.one_of(
+    st.sampled_from(["0", "01", "012"]).flatmap(
+        lambda a: st.text(alphabet=a, max_size=200)),
+    st.integers(0, 150).map(lambda n: "0" * n),
+    st.integers(0, 75).map(lambda n: "01" * n),
+    st.tuples(st.integers(1, 60), st.integers(0, 179)).map(
+        lambda t: _flip("001" * t[0], t[1])),
+    # squares side by side: many runs of equal ratio, for the tie-breaks
+    st.lists(st.sampled_from(["00", "11", "0101", "1010", "2", "22", "012012"]),
+             max_size=30).map("".join),
+)
+bound_specs = st.sampled_from(["2", "2+", "7/3", "5/2+", "28/11+", "13/5", "3",
+                               "10/3+"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_scan_words, st.integers(1, 8), bound_specs)
+def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
+    """The banded scan emits exactly the maximal stretches of length at
+    least twice their period, once each, and max_stretch_ratio picks the
+    highest ratio, then the leftmost start, then the shortest period."""
+    expected = sorted(r for r in maximal_stretches(w) if r[0] >= 2 * r[1])
+    got = list(runs.iter_runs(w))
+    assert sorted(got) == expected and len(set(got)) == len(got), w
+    assert sorted(runs.iter_runs(w, min_period)) == [
+        r for r in expected if r[1] >= min_period]
+    b = ExponentBound.parse(spec)
+    assert sorted(runs.violations(w, b.threshold.numerator, b.threshold.denominator,
+                                  b.strict)) == [
+        r for r in expected if b.violated_by(F(r[0], r[1]))]
+    if expected:
+        best = max(expected, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
+        assert runs.max_stretch_ratio(w) == best, w
+    else:
+        assert runs.max_stretch_ratio(w) == (1, 1, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_scan_words, bound_specs)
+def test_is_free_run_scan_matches_per_position_scan(w, spec):
+    """is_free on words above _SMALL goes through runs.violations; lowering
+    _SMALL sends these short words there too."""
+    b = ExponentBound.parse(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repetition, "_SMALL", 0)
+        assert is_free(w, b) == _first_violation_scan(w, b), w
 
 
 def test_is_free_examples():

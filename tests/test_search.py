@@ -94,6 +94,10 @@ def test_forbidden_factor_constraint():
     assert res.witness == "01" * 32
     counts = count_words(c, 12, symmetry=True)
     assert counts[12] == 2  # (01)^6 and (10)^6
+    # with an exponent bound the factors are tested on the checker's buffer
+    cube = SearchConstraints(2, ExponentBound(F(3), strict=False), None, ("00", "11"))
+    assert count_words(cube, 7, symmetry=False) == [1, 2, 2, 2, 2, 2, 0, 0]
+    assert search(cube, 6).max_depth_reached == 5
 
 
 def test_permutation_invariance_of_forbidden_sets():

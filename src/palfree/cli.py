@@ -56,7 +56,6 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     if depth is not None:
         argv += ["--depth", str(depth)]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     inst = transfer_mod.load_instance(instance)
     tr = transfer_mod.verify_transfer(inst, depth)
     cert.put("q", tr.q)
@@ -70,7 +69,6 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     if not tr.passed:
         cert.put("violating-source", tr.violation_source)
         cert.put("violation", tr.violation)
-        cert.wall_ms = int((time.monotonic() - t0) * 1000)
         return cert
     pal = transfer_mod.verify_palindrome_budget(inst, window)
     cert.put("palindrome-window", pal.window)
@@ -83,7 +81,6 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
         cert.outcome = PASS
     elif not pal.conclusive:
         cert.outcome = INCONCLUSIVE
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -105,7 +102,6 @@ def cert_optimality(alphabet: int, exp: str | None, strict: str | None, pal: int
     for f in forbidden:
         argv += ["--forbid", f]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     bound = _bound_from_args(exp, strict)
     c = search_mod.SearchConstraints(alphabet, bound, pal, tuple(forbidden))
     cert.put("constraints", c.describe())
@@ -130,7 +126,6 @@ def cert_optimality(alphabet: int, exp: str | None, strict: str | None, pal: int
         cert.put("max-depth-reached", result.max_depth_reached)
         cert.put("nodes-visited", result.nodes_visited)
         cert.lists["frontier"] = result.frontier
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -142,7 +137,6 @@ def cert_growth(pal: int, max_n: int, window: int | None, expect: float | None,
     if expect is not None:
         argv += ["--expect", repr(expect), "--tol", repr(tol)]
     cert = Certificate(_cmdline(argv), PASS)
-    t0 = time.monotonic()
     c = search_mod.SearchConstraints(2, None, pal)
     counts = search_mod.count_words(c, max_n, symmetry=True)
     est = search_mod.estimate_growth(counts, window)
@@ -154,7 +148,6 @@ def cert_growth(pal: int, max_n: int, window: int | None, expect: float | None,
         cert.put("difference", f"{abs(est - expect):.2e}")
         cert.outcome = PASS if abs(est - expect) <= tol else FAIL
     cert.lists["counts"] = [f"{n} {x}" for n, x in enumerate(counts)]
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -165,7 +158,6 @@ def cert_preimage(morphism: str, family: str | None, target: str | None) -> Cert
     if target:
         argv += ["--target", target]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     expected_family = search_mod.FAMILY_NAMES[morphism]
     if family and family != expected_family:
         raise SystemExit(f"morphism {morphism} carries family {expected_family}")
@@ -199,7 +191,6 @@ def cert_preimage(morphism: str, family: str | None, target: str | None) -> Cert
     elif failed is not None:
         cert.put("first-unrefuted", failed)
         cert.outcome = INCONCLUSIVE
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -224,7 +215,6 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
     if not symmetry:
         argv += ["--no-symmetry"]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     bound = _bound_from_args(exp, strict)
     try:
         survivors, stats = rauzy_mod.survivor_set(bound, pal, ell, margin,
@@ -234,7 +224,6 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
         cert.outcome = INCONCLUSIVE
         cert.put("result", "node budget exceeded")
         cert.put("nodes-visited", exc.stats["nodes"])
-        cert.wall_ms = int((time.monotonic() - t0) * 1000)
         return cert
     cert.put("exponent-bound", bound)
     cert.put("palindrome-budget", pal)
@@ -292,7 +281,6 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
             ok = ok and longest <= ell
     if ok and len(comps) == 4:
         cert.outcome = PASS
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -308,7 +296,6 @@ def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
     if bound:
         argv += ["--bound", bound]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     cert.put("word", word)
     cert.put("method", method)
     if method == "empirical":
@@ -365,7 +352,6 @@ def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
         cert.outcome = PASS if ok else FAIL
     else:
         raise SystemExit(f"unknown method {method}")
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -373,7 +359,6 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
     argv = ["structure", "--word", word, "--max-bs", str(max_bs),
             "--complexity-n", str(complexity_n)]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     stream = structure_mod.named_stream(word)
     ok = True
     if word == "p":
@@ -442,7 +427,6 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
         ok = ok and all_ordinary and returns_ok
     ok = ok and all_classified
     cert.outcome = PASS if ok else FAIL
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -451,7 +435,6 @@ def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
     if expect is not None:
         argv += ["--expect", str(expect)]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     stream = structure_mod.named_stream(word)
     n1 = palindrome_count(stream.prefix(prefix))
     n2 = palindrome_count(stream.prefix(2 * prefix))
@@ -464,7 +447,6 @@ def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
         cert.put("expected", expect)
         ok = ok and n1 == expect
     cert.outcome = PASS if ok else FAIL
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -474,7 +456,6 @@ def cert_splice(prefix: int, center: int) -> Certificate:
     prefix of 110 nu_p but no factor of nu_p or its reversal."""
     argv = ["splice", "--prefix", str(prefix), "--center", str(center)]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     stream = structure_mod.named_stream("nu_p")
     text = stream.prefix(prefix)
     glue = "010110"
@@ -494,23 +475,17 @@ def cert_splice(prefix: int, center: int) -> Certificate:
     cert.put("marker-in-reverse", "yes" if in_rev else "no")
     if v is None and pref_ok and not in_nu and not in_rev:
         cert.outcome = PASS
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
 # ---------------------------------------------------------------------------
 # Table 1 cell classification
 
-GREEN_ANCHORS = {
-    "thm3a": (11, Fraction(10, 3)),
-    "thm3b": (12, Fraction(23, 7)),
-    "thm3c": (13, Fraction(3)),
-    "thm3d": (15, Fraction(8, 3)),
-    "thm3e": (18, Fraction(13, 5)),
-    "thm3f": (19, Fraction(28, 11)),
-    "thm3g": (21, Fraction(5, 2)),
-    "thm3h": (25, Fraction(7, 3)),
-}
+# cell (p, beta) is green when some shipped transfer instance has a budget
+# <= p and a target bound <= beta
+GREEN_ANCHORS = {name: (budget, ExponentBound.parse(target).threshold)
+                 for name, (_sigma, _source, target, budget)
+                 in transfer_mod._SHIPPED.items()}
 
 RED_CELLS = {
     (18, Fraction(28, 11)): "mu_p",
@@ -542,7 +517,6 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
     if nodes:
         argv += ["--nodes", str(nodes)]
     cert = Certificate(_cmdline(argv), FAIL)
-    t0 = time.monotonic()
     bfrac = None if beta in ("inf", "none") else Fraction(beta)
     if bfrac is not None and bfrac not in COLUMNS:
         cert.put("cell", f"p={p} beta={beta}")
@@ -585,7 +559,6 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
             if k in sub.evidence:
                 cert.put(k, sub.evidence[k])
         cert.outcome = sub.outcome
-    cert.wall_ms = int((time.monotonic() - t0) * 1000)
     return cert
 
 
@@ -688,6 +661,13 @@ def run_command(argv: list[str]) -> Certificate:
 
 
 def _dispatch(args) -> Certificate:
+    t0 = time.monotonic()
+    cert = _build(args)
+    cert.wall_ms = int((time.monotonic() - t0) * 1000)
+    return cert
+
+
+def _build(args) -> Certificate:
     if args.cmd == "verify-morphism":
         return cert_verify_morphism(args.instance, args.window, args.depth)
     if args.cmd == "optimality":

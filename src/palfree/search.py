@@ -1,17 +1,18 @@
 """Backtracking over constrained binary/ternary word spaces.
 
-One DFS engine drives nonexistence certificates, per-length counting,
-witness search, and the two-sided-extendable middle-window enumeration the
-Rauzy construction consumes.  Constraints are prefix-monotone (a violating
-word has no valid extension), so pruning at the first bad letter is sound.
+One DFS engine, Walk, drives nonexistence certificates, per-length
+counting, witness search, the two-sided-extendable middle-window
+enumeration the Rauzy construction consumes, and the freeness-transfer and
+palindrome-budget checks of transfer.py.  Constraints are prefix-monotone
+(a violating word has no valid extension), so pruning at the first bad
+letter is sound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .eertree import Eertree
@@ -122,7 +123,6 @@ class ExhaustionCertificate:
     longest_count: int
     symmetry_reduced: bool
     depth_cap: int
-    wall_ms: int = 0
 
 
 @dataclass
@@ -140,93 +140,80 @@ class Inconclusive:
     symmetry_reduced: bool
 
 
-@dataclass
-class _DFS:
-    state: ConstraintState
-    letters: str
-    depth_cap: int
-    node_budget: int | None
-    counts: list[int] | None
-    stop_at_cap: bool
-    nodes: int = 0
-    max_depth: int = 0
-    longest: list[str] = field(default_factory=list)
-    longest_count: int = 0
-    witness: str | None = None
+class Walk:
+    """Depth-first walk over the words of at most depth letters that
+    state.push accepts letter by letter, trying letters in order.
+
+    state is any push/pop object (ConstraintState, IncrementalFreeChecker,
+    ImageState); every push is paired with a pop, also when the walk stops.
+    visit(word) runs on every accepted non-empty word; a true result stops
+    the walk.  nodes counts the pushes made below the roots."""
+
+    def __init__(self, state, letters: str, depth: int, visit,
+                 node_budget: int | None = None):
+        self.state = state
+        self.letters = letters
+        self.depth = depth
+        self.visit = visit
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.stopped = False
 
     def run(self, roots: list[str]) -> list[str] | None:
-        """Depth-first over all extensions of the given root prefixes; returns
-        the unexplored frontier when the node budget runs out, else None."""
-        for idx, root in enumerate(roots):
+        """Walk below each root in turn.  Once node_budget pushes are spent,
+        return the unexplored frontier in walk order (untried siblings at
+        each level, then the remaining roots); otherwise None."""
+        state = self.state
+        for i, root in enumerate(roots):
+            if len(root) > self.depth:
+                continue
             pushed = 0
-            ok = True
-            for ch in root:
-                if not self.state.push(ch):
-                    ok = False
+            rest = None
+            try:
+                for ch in root:
                     pushed += 1
-                    break
-                pushed += 1
-            if ok:
-                self._note(root)
-                if len(root) == self.depth_cap:
-                    if self.stop_at_cap and self.witness is None:
-                        self.witness = root
+                    if not state.push(ch):
+                        break
                 else:
-                    rest = self._rec(root)
-                    if rest is not None:
-                        for _ in range(pushed):
-                            self.state.pop()
-                        return rest + roots[idx + 1:]
-            for _ in range(pushed):
-                self.state.pop()
-            if self.witness is not None:
+                    if root and self.visit(root):
+                        self.stopped = True
+                    elif len(root) < self.depth:
+                        rest = self._rec(root)
+            finally:
+                for _ in range(pushed):
+                    state.pop()
+            if rest is not None:
+                return rest + roots[i + 1:]
+            if self.stopped:
                 break
         return None
 
-    def _note(self, word: str) -> None:
-        depth = len(word)
-        if depth > self.max_depth:
-            self.max_depth = depth
-            self.longest = []
-            self.longest_count = 0
-        if depth == self.max_depth:
-            self.longest_count += 1
-            if len(self.longest) < LONGEST_KEPT:
-                self.longest.append(word)
-        if self.counts is not None and depth < len(self.counts):
-            self.counts[depth] += 1
-
     def _rec(self, prefix: str) -> list[str] | None:
-        depth = len(prefix)
-        state = self.state
-        for i, ch in enumerate(self.letters):
-            if self.node_budget is not None and self.nodes >= self.node_budget:
-                return [prefix + c for c in self.letters[i:]]
+        state, letters, budget = self.state, self.letters, self.node_budget
+        deeper = len(prefix) + 1 < self.depth
+        for i, ch in enumerate(letters):
+            if budget is not None and self.nodes >= budget:
+                return [prefix + c for c in letters[i:]]
             self.nodes += 1
-            if state.push(ch):
-                word = prefix + ch
-                self._note(word)
-                if depth + 1 == self.depth_cap:
-                    if self.stop_at_cap:
-                        self.witness = word
-                        state.pop()
+            try:
+                if state.push(ch):
+                    word = prefix + ch
+                    if self.visit(word):
+                        self.stopped = True
                         return None
-                else:
-                    rest = self._rec(word)
-                    if rest is not None:
-                        state.pop()
-                        # untried siblings at this level stay on the frontier
-                        return rest + [prefix + c for c in self.letters[i + 1:]]
-                    if self.witness is not None:
-                        state.pop()
-                        return None
-            state.pop()
+                    if deeper:
+                        rest = self._rec(word)
+                        if rest is not None:
+                            return rest + [prefix + c for c in letters[i + 1:]]
+                        if self.stopped:
+                            return None
+            finally:
+                state.pop()
         return None
 
 
 def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
-           symmetry: bool = False, frontier: list[str] | None = None,
-           counts: bool = False):
+           symmetry: bool = False, frontier: list[str] | None = None):
     """Exhausted(certificate) when no word of length depth_cap satisfies c
     (hence no infinite word does); Reached(witness) with the lexicographically
     least word of length depth_cap otherwise; Inconclusive on node budget."""
@@ -234,23 +221,39 @@ def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
         raise ValueError("depth_cap must be >= 1")
     if symmetry:
         _require_invariant(c)
-    t0 = time.monotonic()
-    state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
-    dfs = _DFS(state, letters, depth_cap, node_budget,
-               [0] * (depth_cap + 1) if counts else None, stop_at_cap=True)
+    longest: list[str] = []
+    max_depth = longest_count = 0
+    witness = None
+
+    def visit(word: str) -> bool:
+        nonlocal max_depth, longest_count, witness
+        depth = len(word)
+        if depth > max_depth:
+            max_depth = depth
+            longest.clear()
+            longest_count = 0
+        if depth == max_depth:
+            longest_count += 1
+            if len(longest) < LONGEST_KEPT:
+                longest.append(word)
+        if depth == depth_cap:
+            witness = word
+            return True
+        return False
+
+    walk = Walk(ConstraintState(c), letters, depth_cap, visit, node_budget)
     if frontier is None:
-        roots = [letters[0]] if symmetry else [ch for ch in letters]
+        roots = [letters[0]] if symmetry else list(letters)
     else:
         roots = list(frontier)
-    rest = dfs.run(roots)
-    ms = int((time.monotonic() - t0) * 1000)
-    if dfs.witness is not None:
-        return Reached(dfs.witness, dfs.nodes, symmetry)
+    rest = walk.run(roots)
+    if witness is not None:
+        return Reached(witness, walk.nodes, symmetry)
     if rest is not None:
-        return Inconclusive(rest, dfs.max_depth, dfs.nodes, symmetry)
-    return ExhaustionCertificate(c, dfs.max_depth, dfs.nodes, sorted(dfs.longest),
-                                 dfs.longest_count, symmetry, depth_cap, ms)
+        return Inconclusive(rest, max_depth, walk.nodes, symmetry)
+    return ExhaustionCertificate(c, max_depth, walk.nodes, sorted(longest),
+                                 longest_count, symmetry, depth_cap)
 
 
 def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int]:
@@ -259,15 +262,18 @@ def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int
     With symmetry=True only words starting with letter 0 are walked and the
     counts multiplied by the alphabet size; it raises SymmetryError unless
     c.permutation_invariant()."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if symmetry:
         _require_invariant(c)
-    state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
-    dfs = _DFS(state, letters, n, None, [0] * (n + 1), stop_at_cap=False)
-    roots = [letters[0]] if symmetry else [ch for ch in letters]
-    rest = dfs.run(roots)
-    assert rest is None
-    counts = dfs.counts
+    counts = [0] * (n + 1)
+
+    def visit(word: str) -> None:
+        counts[len(word)] += 1
+
+    Walk(ConstraintState(c), letters, n, visit).run(
+        [letters[0]] if symmetry else list(letters))
     counts[0] = 1
     if symmetry:
         # letter permutations map the enumerated words onto those starting
@@ -456,8 +462,7 @@ def replay_proof(log: ProofLog, m, image_forbidden,
 
 
 def extendable_middles(c: SearchConstraints, length: int, margin: int,
-                       node_budget: int | None = None, symmetry: bool = False,
-                       progress=None):
+                       node_budget: int | None = None, symmetry: bool = False):
     """All middle windows w[margin:margin+length] over words w of length
     length + 2*margin satisfying c.  With symmetry=True only words starting
     with letter 0 are walked and the result is closed under letter
@@ -468,34 +473,25 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
     if symmetry:
         _require_invariant(c)
     total = length + 2 * margin
-    state = ConstraintState(c)
     letters = ALPHABETS[c.alphabet_size]
     middles: set[str] = set()
     stats = {"nodes": 0, "leaves": 0}
 
-    def rec(word: str) -> None:
+    def visit(word: str) -> None:
         if len(word) == total:
             stats["leaves"] += 1
             middles.add(word[margin:margin + length])
-            return
-        for ch in letters:
-            stats["nodes"] += 1
-            if node_budget is not None and stats["nodes"] > node_budget:
-                raise BudgetExceeded(middles, stats)
-            if state.push(ch):
-                rec(word + ch)
-            state.pop()
-        if progress is not None and len(word) <= 2:
-            progress(stats)
 
+    walk = Walk(ConstraintState(c), letters, total, visit, node_budget)
+    # the symmetric walk starts below letter 0, whose push is not a node
+    rest = walk.run([letters[0]] if symmetry else [""])
+    stats["nodes"] = walk.nodes
+    if rest is not None:
+        stats["nodes"] += 1  # the refused attempt counts
+        raise BudgetExceeded(middles, stats)
     if symmetry:
-        if state.push(letters[0]):
-            rec(letters[0])
-        state.pop()
         middles = {w.translate(t) for t in _letter_permutations(c.alphabet_size)
                    for w in middles}
-    else:
-        rec("")
     return middles, stats
 
 

@@ -131,18 +131,27 @@ def _profile_in(text: str, w: str) -> ExtensionProfile:
     return ExtensionProfile(w, frozenset(left), frozenset(right), frozenset(bi))
 
 
+def _stabilized(compute, stream: Stream, L: int, what: str):
+    """Compute on the prefixes of length L and 2L, doubling L until the two
+    results agree; returns (the result at 2L, 2L).  Raises RuntimeError
+    naming what once L passes PREFIX_CAP."""
+    while True:
+        a = compute(stream.prefix(L))
+        b = compute(stream.prefix(2 * L))
+        if a == b:
+            return b, 2 * L
+        L *= 2
+        if L > PREFIX_CAP:
+            raise RuntimeError(f"{what} did not stabilize")
+
+
 def extension_profile(w: str, stream: Stream, L: int = DEFAULT_PREFIX) -> ExtensionProfile:
     """Extensions of w from all occurrences in a prefix, accepted only when
     doubling the prefix reproduces the same profile."""
-    while True:
-        a = _profile_in(stream.prefix(L), w)
-        b = _profile_in(stream.prefix(2 * L), w)
-        if a.key() == b.key():
-            b.stabilized_at = 2 * L
-            return b
-        L *= 2
-        if L > PREFIX_CAP:
-            raise RuntimeError(f"extension profile of {w!r} did not stabilize")
+    profile, at = _stabilized(lambda text: _profile_in(text, w), stream, L,
+                              f"extension profile of {w!r}")
+    profile.stabilized_at = at
+    return profile
 
 
 @dataclass
@@ -163,14 +172,8 @@ def _returns_in(text: str, w: str) -> frozenset[str]:
 
 
 def return_words(w: str, stream: Stream, L: int = DEFAULT_PREFIX) -> ReturnWordSet:
-    while True:
-        a = _returns_in(stream.prefix(L), w)
-        b = _returns_in(stream.prefix(2 * L), w)
-        if a == b:
-            return ReturnWordSet(w, b, 2 * L)
-        L *= 2
-        if L > PREFIX_CAP:
-            raise RuntimeError(f"return words of {w!r} did not stabilize")
+    return ReturnWordSet(w, *_stabilized(lambda text: _returns_in(text, w),
+                                         stream, L, f"return words of {w!r}"))
 
 
 def _right_special_levels(text: str, max_len: int, alphabet: str):
@@ -224,16 +227,11 @@ def bispecial_enumerate(stream: Stream, max_len: int,
     """All non-empty bispecial factors of length <= max_len, profiles
     stabilization-checked against a doubled prefix."""
     alphabet = "".join(sorted(set(stream.prefix(256))))
-    while True:
-        a = _bispecials_in(stream.prefix(L), max_len, alphabet)
-        b = _bispecials_in(stream.prefix(2 * L), max_len, alphabet)
-        if [x.key() for x in a] == [x.key() for x in b]:
-            for x in b:
-                x.stabilized_at = 2 * L
-            return b
-        L *= 2
-        if L > PREFIX_CAP:
-            raise RuntimeError("bispecial enumeration did not stabilize")
+    profiles, at = _stabilized(lambda text: _bispecials_in(text, max_len, alphabet),
+                               stream, L, "bispecial enumeration")
+    for x in profiles:
+        x.stabilized_at = at
+    return profiles
 
 
 def factor_complexity(stream: Stream, max_n: int, L: int = DEFAULT_PREFIX) -> list[int]:
@@ -257,14 +255,7 @@ def factor_complexity(stream: Stream, max_n: int, L: int = DEFAULT_PREFIX) -> li
             counts.append(counts[-1])
         return counts[:max_n + 1]
 
-    while True:
-        a = compute(stream.prefix(L))
-        b = compute(stream.prefix(2 * L))
-        if a == b and len(a) == max_n + 1:
-            return b
-        L *= 2
-        if L > PREFIX_CAP:
-            raise RuntimeError("factor complexity did not stabilize")
+    return _stabilized(compute, stream, L, "factor complexity")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ a-free source tree with an incremental freeness test on the image.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
@@ -16,6 +15,7 @@ from math import ceil
 from .eertree import Eertree
 from .morphisms import Morphism, load_morphism
 from .repetition import ExponentBound, IncrementalFreeChecker
+from .search import Walk
 from .words import ALPHABETS
 
 PAL_WINDOW_CAP = 64
@@ -85,22 +85,40 @@ def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
 def enumerate_free_words(alphabet_size: int, bound: ExponentBound, max_len: int):
     """Yield every bound-free word of length <= max_len over 0..d-1, the
     empty word first, within each length in lexicographic order."""
-    letters = ALPHABETS[alphabet_size]
-    chk = IncrementalFreeChecker(bound)
     out = [""]
-
-    def rec(depth, prefix):
-        if depth == max_len:
-            return
-        for c in letters:
-            if chk.push(c):
-                out.append(prefix + c)
-                rec(depth + 1, prefix + c)
-            chk.pop()
-
-    rec(0, "")
+    Walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
+         out.append).run([""])
     # stream in (length, word) order for reproducibility
     return sorted(out, key=lambda w: (len(w), w))
+
+
+class ImageState:
+    """Push/pop state of a walk over source words that pushes the image of
+    every accepted source letter onto target.
+
+    A source letter is accepted when the source checker accepts it; its
+    whole image is then pushed onto target, and the target's answers are
+    kept in got."""
+
+    def __init__(self, source: IncrementalFreeChecker, target, images):
+        self.source = source
+        self.target = target
+        self.images = images
+        self.got: list = []
+        self.sizes: list[int] = []  # target letters pushed, per source letter
+
+    def push(self, c: str) -> bool:
+        if not self.source.push(c):
+            self.sizes.append(0)
+            return False
+        got = self.got = list(map(self.target.push, self.images[int(c)]))
+        self.sizes.append(len(got))
+        return True
+
+    def pop(self) -> None:
+        for _ in range(self.sizes.pop()):
+            self.target.pop()
+        self.source.pop()
 
 
 @dataclass
@@ -114,7 +132,6 @@ class TransferResult:
     passed: bool
     violation_source: str | None = None
     violation: str | None = None
-    wall_ms: int = 0
 
 
 def verify_transfer(inst: TransferInstance, depth: int | None = None) -> TransferResult:
@@ -124,51 +141,22 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
     q = inst.h.is_uniform()
     t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
     tdepth = ceil(t) if depth is None else depth
-    letters = ALPHABETS[inst.source_alphabet]
-    images = inst.h.images
-    src = IncrementalFreeChecker(inst.source_bound)
-    img = IncrementalFreeChecker(inst.target_bound)
-    t0 = time.monotonic()
+    state = ImageState(IncrementalFreeChecker(inst.source_bound),
+                       IncrementalFreeChecker(inst.target_bound), inst.h.images)
     checked = 0
-
-    class _BadImage(Exception):
-        pass
-
-    def rec(level) -> None:
-        nonlocal checked
-        if level == tdepth:
-            return
-        for c in letters:
-            if src.push(c):
-                checked += 1
-                pushed = 0
-                good = True
-                for ch in images[int(c)]:
-                    pushed += 1
-                    if not img.push(ch):
-                        good = False
-                        break
-                if not good:
-                    word = src.word()
-                    for _ in range(pushed):
-                        img.pop()
-                    src.pop()
-                    raise _BadImage(word)
-                rec(level + 1)
-                for _ in range(pushed):
-                    img.pop()
-            src.pop()
-
     violation_source = None
-    try:
-        rec(0)
-        passed = True
-    except _BadImage as exc:
-        violation_source = exc.args[0]
-        passed = False
-    ms = int((time.monotonic() - t0) * 1000)
-    result = TransferResult(inst.name, q, True, t, tdepth, checked, passed,
-                            wall_ms=ms)
+
+    def visit(word: str) -> bool:
+        nonlocal checked, violation_source
+        checked += 1
+        if all(state.got):
+            return False
+        violation_source = word
+        return True
+
+    Walk(state, ALPHABETS[inst.source_alphabet], tdepth, visit).run([""])
+    passed = violation_source is None
+    result = TransferResult(inst.name, q, True, t, tdepth, checked, passed)
     if not passed:
         from .repetition import is_free
         result.violation_source = violation_source
@@ -188,7 +176,6 @@ class PalindromeBudgetResult:
     max_len: int
     palindromes: list[str] = field(default_factory=list)
     stabilized: bool = True
-    wall_ms: int = 0
 
     @property
     def conclusive(self) -> bool:
@@ -202,29 +189,17 @@ class PalindromeBudgetResult:
 def _palindromes_of_image_language(inst: TransferInstance, window: int) -> set[str]:
     """Distinct non-empty palindromic factors of h(w) over all source-free
     words w with |w| <= window (a superset of the limit language's set)."""
-    letters = ALPHABETS[inst.source_alphabet]
-    images = inst.h.images
-    src = IncrementalFreeChecker(inst.source_bound)
     tree = Eertree()
+    state = ImageState(IncrementalFreeChecker(inst.source_bound), tree,
+                       inst.h.images)
     found: set[str] = set()
 
-    def rec(level):
-        if level == window:
-            return
-        for c in letters:
-            if src.push(c):
-                pushed = 0
-                for ch in images[int(c)]:
-                    node = tree.push(ch)
-                    pushed += 1
-                    if node is not None:
-                        found.add(tree.node_word(node))
-                rec(level + 1)
-                for _ in range(pushed):
-                    tree.pop()
-            src.pop()
+    def visit(word: str) -> None:
+        for node in state.got:
+            if node is not None:
+                found.add(tree.node_word(node))
 
-    rec(0)
+    Walk(state, ALPHABETS[inst.source_alphabet], window, visit).run([""])
     return found
 
 
@@ -249,7 +224,6 @@ def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
     q = inst.h.is_uniform()
     t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
     w = window if window is not None else ceil(t) + 2
-    t0 = time.monotonic()
     while True:
         pals = _palindromes_of_image_language(inst, w)
         # every factor of length <= (w-1)*q of the limit language shows up
@@ -262,10 +236,9 @@ def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
         again = _palindromes_of_image_language(inst, w + 2)
         stabilized = again == pals
     count = len(pals) + 1  # the empty word
-    ms = int((time.monotonic() - t0) * 1000)
     return PalindromeBudgetResult(
         instance=inst.name, window=w, count=count, budget=inst.claimed_palindromes,
         within_budget=count <= inst.claimed_palindromes, cut_index=cut,
         max_len=max((len(p) for p in pals), default=0),
         palindromes=sorted(pals, key=lambda p: (len(p), p)) if keep_palindromes else [],
-        stabilized=stabilized, wall_ms=ms)
+        stabilized=stabilized)

@@ -1,16 +1,20 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palfree.morphisms import load_morphism
-from palfree.repetition import ExponentBound
+from palfree.repetition import ExponentBound, _first_violation_scan
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
-                            TERNARY_FORBIDDEN, ExhaustionCertificate,
-                            Inconclusive, Reached, SearchConstraints,
-                            SymmetryError, count_words, estimate_growth,
-                            extendable_middles, factor_equivalence,
-                            prove_preimage_forbidden, replay_proof,
-                            run_preimage_family, search)
+                            TERNARY_FORBIDDEN, BudgetExceeded,
+                            ExhaustionCertificate, Inconclusive, Reached,
+                            SearchConstraints, SymmetryError, count_words,
+                            estimate_growth, extendable_middles,
+                            factor_equivalence, prove_preimage_forbidden,
+                            replay_proof, run_preimage_family, search)
+from palfree.words import ALPHABETS, palindrome_count
 
 F = Fraction
 
@@ -67,6 +71,36 @@ def test_search_resume_equivalence():
 def test_count_words_unconstrained():
     counts = count_words(SearchConstraints(2), 10, symmetry=True)
     assert counts == [2 ** n if n else 1 for n in range(11)]
+
+
+def test_count_words_depth_zero():
+    assert count_words(SearchConstraints(2), 0) == [1]
+    assert count_words(SearchConstraints(3), 0, symmetry=False) == [1]
+    with pytest.raises(ValueError):
+        count_words(SearchConstraints(2), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3),
+       st.sampled_from([None, "3/2", "5/3+", "7/4", "2", "2+", "7/3+", "5/2", "3"]),
+       st.one_of(st.none(), st.integers(1, 9)),
+       st.lists(st.text(alphabet="012", min_size=1, max_size=3), max_size=3),
+       st.integers(1, 8))
+def test_count_words_matches_brute_force(size, spec, budget, forbidden, n):
+    letters = ALPHABETS[size]
+    forbidden = tuple(f for f in forbidden if set(f) <= set(letters))
+    bound = ExponentBound.parse(spec) if spec else None
+    want = [0] * (n + 1)
+    for k in range(n + 1):
+        for w in map("".join, product(letters, repeat=k)):
+            if bound is not None and _first_violation_scan(w, bound) is not None:
+                continue
+            if budget is not None and palindrome_count(w) > budget:
+                continue
+            if not any(f in w for f in forbidden):
+                want[k] += 1
+    c = SearchConstraints(size, bound, budget, forbidden)
+    assert count_words(c, n, symmetry=False) == want
 
 
 def test_count_words_monotone_under_tightening():
@@ -131,6 +165,13 @@ def test_extendable_middles_symmetry_guard_and_closure():
     full, _ = extendable_middles(c, 3, 1)
     reduced, _ = extendable_middles(c, 3, 1, symmetry=True)
     assert reduced == full and full
+
+
+def test_extendable_middles_budget_counts_the_refused_attempt():
+    c = SearchConstraints(2, ExponentBound.parse("13/5"), 18)
+    with pytest.raises(BudgetExceeded) as exc:
+        extendable_middles(c, 20, 40, node_budget=5000, symmetry=True)
+    assert exc.value.stats == {"nodes": 5001, "leaves": 2}
 
 
 def test_estimate_growth_exact_geometric():

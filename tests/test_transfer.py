@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from palfree.eertree import Eertree
 from palfree.morphisms import Morphism
-from palfree.repetition import ExponentBound
-from palfree.transfer import (TransferInstance, enumerate_free_words,
+from palfree.repetition import ExponentBound, IncrementalFreeChecker, is_free
+from palfree.transfer import (ImageState, TransferInstance, enumerate_free_words,
                               load_instance, mrs_threshold,
                               palindrome_cut_index, shipped_instances,
                               verify_palindrome_budget, verify_transfer)
@@ -46,6 +48,37 @@ def test_enumerate_free_words_examples():
            if len(w) == 2]
     assert sq2 == ["01", "02", "10", "12", "20", "21"]
     assert enumerate_free_words(2, ExponentBound.parse("7/3+"), 0) == [""]
+    for size, spec, max_len, total in ((2, "7/3+", 12, 433), (3, "2", 8, 250)):
+        bound = ExponentBound.parse(spec)
+        brute = [w for k in range(max_len + 1)
+                 for w in map("".join, product("012"[:size], repeat=k))
+                 if is_free(w, bound) is None]
+        assert enumerate_free_words(size, bound, max_len) == brute
+        assert len(brute) == total
+
+
+def test_image_state_pushes_and_pops_images():
+    # the whole image is pushed, also past a letter the target refuses
+    source = IncrementalFreeChecker(ExponentBound.parse("7/3+"))
+    target = IncrementalFreeChecker(ExponentBound.parse("2"))
+    state = ImageState(source, target, ("001", "1"))
+    assert state.push("1") and state.got == [True]
+    assert state.push("0") and state.got[:2] == [True, False]
+    assert target.word() == "1001"
+    state.pop()
+    assert (source.word(), target.word()) == ("1", "1")
+    state.pop()
+    assert (source.word(), target.word()) == ("", "")
+    # a refused source letter pushes nothing onto the target
+    tree = Eertree()
+    state = ImageState(IncrementalFreeChecker(ExponentBound.parse("7/3+")),
+                       tree, ("00", "1"))
+    assert state.push("0") and state.push("0")
+    assert [tree.node_word(v) for v in state.got] == ["000", "0000"]
+    assert not state.push("0") and len(tree) == 4
+    for _ in range(3):
+        state.pop()
+    assert len(tree) == 0 and tree.count() == 0
 
 
 def test_instance_validation():
@@ -83,8 +116,9 @@ def test_verify_transfer_detects_violation():
                               ExponentBound.parse("5/2+"), 15)
     res = verify_transfer(broken, depth=6)
     assert not res.passed
-    assert res.violation_source
-    assert res.violation
+    assert res.words_checked == 5
+    assert res.violation_source == "00100"
+    assert res.violation == "01001001 = (010)^8/3"
 
 
 def test_palindrome_budget_small_instance():

@@ -18,7 +18,8 @@ from . import search as search_mod
 from . import structure as structure_mod
 from . import transfer as transfer_mod
 from .certificates import (FAIL, INCONCLUSIVE, PASS, Certificate,
-                           compare_certificates, read_certificate)
+                           compare_certificates, parse_certificate,
+                           read_certificate)
 from .repetition import ExponentBound, critical_exponent, is_free
 from .words import palindrome_count, reverse
 
@@ -41,21 +42,13 @@ def _bound_from_args(exp: str | None, strict: str | None) -> ExponentBound | Non
     return b
 
 
-def _cmdline(args: list[str]) -> str:
-    return " ".join(shlex.quote(a) for a in args)
-
-
 # ---------------------------------------------------------------------------
 # certificate builders
+# Each returns its certificate with an empty command; _dispatch sets it.
 
 
 def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -> Certificate:
-    argv = ["verify-morphism", "--instance", instance]
-    if window is not None:
-        argv += ["--window", str(window)]
-    if depth is not None:
-        argv += ["--depth", str(depth)]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     inst = transfer_mod.load_instance(instance)
     tr = transfer_mod.verify_transfer(inst, depth)
     cert.put("q", tr.q)
@@ -86,24 +79,10 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
 
 def cert_optimality(alphabet: int, exp: str | None, strict: str | None, pal: int | None,
                     cap: int, nodes: int | None, symmetry: bool,
-                    forbidden: tuple[str, ...] = ()) -> Certificate:
-    argv = ["optimality", "--alphabet", str(alphabet)]
-    if exp:
-        argv += ["--exp", exp]
-    if strict is not None:
-        argv += ["--strict", strict]
-    if pal is not None:
-        argv += ["--pal", str(pal)]
-    argv += ["--cap", str(cap)]
-    if nodes is not None:
-        argv += ["--nodes", str(nodes)]
-    if symmetry:
-        argv += ["--symmetry"]
-    for f in forbidden:
-        argv += ["--forbid", f]
-    cert = Certificate(_cmdline(argv), FAIL)
+                    forbid: tuple[str, ...] = ()) -> Certificate:
+    cert = Certificate("", FAIL)
     bound = _bound_from_args(exp, strict)
-    c = search_mod.SearchConstraints(alphabet, bound, pal, tuple(forbidden))
+    c = search_mod.SearchConstraints(alphabet, bound, pal, tuple(forbid))
     cert.put("constraints", c.describe())
     cert.put("depth-cap", cap)
     cert.put("symmetry-reduced", "yes" if symmetry else "no")
@@ -131,12 +110,7 @@ def cert_optimality(alphabet: int, exp: str | None, strict: str | None, pal: int
 
 def cert_growth(pal: int, max_n: int, window: int | None, expect: float | None,
                 tol: float) -> Certificate:
-    argv = ["growth", "--pal", str(pal), "--max-n", str(max_n)]
-    if window is not None:
-        argv += ["--window", str(window)]
-    if expect is not None:
-        argv += ["--expect", repr(expect), "--tol", repr(tol)]
-    cert = Certificate(_cmdline(argv), PASS)
+    cert = Certificate("", PASS)
     c = search_mod.SearchConstraints(2, None, pal)
     counts = search_mod.count_words(c, max_n, symmetry=True)
     est = search_mod.estimate_growth(counts, window)
@@ -152,12 +126,7 @@ def cert_growth(pal: int, max_n: int, window: int | None, expect: float | None,
 
 
 def cert_preimage(morphism: str, family: str | None, target: str | None) -> Certificate:
-    argv = ["preimage-prove", "--morphism", morphism]
-    if family:
-        argv += ["--family", family]
-    if target:
-        argv += ["--target", target]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     expected_family = search_mod.FAMILY_NAMES[morphism]
     if family and family != expected_family:
         raise SystemExit(f"morphism {morphism} carries family {expected_family}")
@@ -197,28 +166,12 @@ def cert_preimage(morphism: str, family: str | None, target: str | None) -> Cert
 def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
                margin: int | None, trim: bool, compare: str | None,
                select_avoiding: str | None, nodes: int | None,
-               symmetry: bool) -> Certificate:
-    argv = ["rauzy", "--exp", exp]
-    if strict is not None:
-        argv += ["--strict", strict]
-    argv += ["--pal", str(pal), "--ell", str(ell), "--mode", mode]
-    if margin is not None:
-        argv += ["--margin", str(margin)]
-    if trim:
-        argv += ["--trim"]
-    if compare:
-        argv += ["--compare", compare]
-    if select_avoiding:
-        argv += ["--select-avoiding", select_avoiding]
-    if nodes is not None:
-        argv += ["--nodes", str(nodes)]
-    if not symmetry:
-        argv += ["--no-symmetry"]
-    cert = Certificate(_cmdline(argv), FAIL)
+               no_symmetry: bool) -> Certificate:
+    cert = Certificate("", FAIL)
     bound = _bound_from_args(exp, strict)
     try:
         survivors, stats = rauzy_mod.survivor_set(bound, pal, ell, margin,
-                                                  symmetry=symmetry,
+                                                  symmetry=not no_symmetry,
                                                   node_budget=nodes)
     except search_mod.BudgetExceeded as exc:
         cert.outcome = INCONCLUSIVE
@@ -286,16 +239,7 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
 
 def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
                   expect: str | None, bound: str | None) -> Certificate:
-    argv = ["exponent", "--word", word, "--method", method]
-    if method == "empirical":
-        argv += ["--prefix", str(prefix)]
-    if method == "bispecial":
-        argv += ["--max-bs", str(max_bs)]
-    if expect:
-        argv += ["--expect", expect]
-    if bound:
-        argv += ["--bound", bound]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     cert.put("word", word)
     cert.put("method", method)
     if method == "empirical":
@@ -356,9 +300,7 @@ def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
 
 
 def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
-    argv = ["structure", "--word", word, "--max-bs", str(max_bs),
-            "--complexity-n", str(complexity_n)]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     stream = structure_mod.named_stream(word)
     ok = True
     if word == "p":
@@ -431,10 +373,7 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
 
 
 def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
-    argv = ["palindromes", "--word", word, "--prefix", str(prefix)]
-    if expect is not None:
-        argv += ["--expect", str(expect)]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     stream = structure_mod.named_stream(word)
     n1 = palindrome_count(stream.prefix(prefix))
     n2 = palindrome_count(stream.prefix(2 * prefix))
@@ -454,8 +393,7 @@ def cert_splice(prefix: int, center: int) -> Certificate:
     """The glued word reverse(nu_p) . 010110 . nu_p: its central factor is
     5/2+-free, and the witness word separating it from nu_p's language is a
     prefix of 110 nu_p but no factor of nu_p or its reversal."""
-    argv = ["splice", "--prefix", str(prefix), "--center", str(center)]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     stream = structure_mod.named_stream("nu_p")
     text = stream.prefix(prefix)
     glue = "010110"
@@ -513,10 +451,7 @@ def classify_cell(p: int, beta: Fraction | None) -> tuple[str, str | None]:
 
 
 def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
-    argv = ["table1", "--p", str(p), "--beta", beta, "--cap", str(cap)]
-    if nodes:
-        argv += ["--nodes", str(nodes)]
-    cert = Certificate(_cmdline(argv), FAIL)
+    cert = Certificate("", FAIL)
     bfrac = None if beta in ("inf", "none") else Fraction(beta)
     if bfrac is not None and bfrac not in COLUMNS:
         cert.put("cell", f"p={p} beta={beta}")
@@ -563,82 +498,111 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the command table: each subcommand's help, builder and flags in canonical
+# order.  The parser, the canonical command line and the dispatch all derive
+# from it.
+
+def _at_least_one(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _flag(name: str, when=None, **kw):
+    """A flag: its name, argparse dest and keywords, and an optional test
+    of the parsed arguments that must hold for the flag to be rendered."""
+    return name, name[2:].replace("-", "_"), kw, when
+
+
+COMMANDS = {
+    "verify-morphism": ("freeness transfer + palindrome budget", cert_verify_morphism, [
+        _flag("--instance", required=True, choices=transfer_mod.shipped_instances()),
+        _flag("--window", type=int),
+        _flag("--depth", type=int),
+    ]),
+    "optimality": ("nonexistence search certificate", cert_optimality, [
+        _flag("--alphabet", type=int, default=2),
+        _flag("--exp"),
+        _flag("--strict", choices=("true", "false")),
+        _flag("--pal", type=int),
+        _flag("--cap", type=int, default=400),
+        _flag("--nodes", type=int, default=_default_nodes),
+        _flag("--symmetry", action="store_true"),
+        _flag("--forbid", action="append", default=[]),
+    ]),
+    "growth": ("exact counts and growth estimate", cert_growth, [
+        _flag("--pal", type=int, required=True),
+        _flag("--max-n", type=_at_least_one, default=60),
+        _flag("--window", type=int),
+        _flag("--expect", type=float),
+        _flag("--tol", when=lambda a: a.expect is not None, type=float, default=0.01),
+    ]),
+    "preimage-prove": ("refute forbidden factors in pre-images", cert_preimage, [
+        _flag("--morphism", required=True, choices=("mu", "nu")),
+        _flag("--family", choices=("F18", "F20")),
+        _flag("--target"),
+    ]),
+    "rauzy": ("survivor windows, components, comparison", cert_rauzy, [
+        _flag("--exp", required=True),
+        _flag("--strict", choices=("true", "false")),
+        _flag("--pal", type=int, required=True),
+        _flag("--ell", type=int, required=True),
+        _flag("--mode", choices=("weak", "strong"), default="weak"),
+        _flag("--margin", type=int),
+        _flag("--trim", action="store_true"),
+        _flag("--compare"),
+        _flag("--select-avoiding"),
+        _flag("--nodes", type=int, default=_default_nodes),
+        _flag("--no-symmetry", action="store_true"),
+    ]),
+    "exponent": ("critical exponents three ways", cert_exponent, [
+        _flag("--word", required=True),
+        _flag("--method", choices=("empirical", "bispecial", "closed-form"),
+              default="empirical"),
+        _flag("--prefix", when=lambda a: a.method == "empirical", type=int, default=100000),
+        _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500),
+        _flag("--expect"),
+        _flag("--bound"),
+    ]),
+    "structure": ("bispecial factors, families, return words", cert_structure, [
+        _flag("--word", required=True),
+        _flag("--max-bs", type=int, default=200),
+        _flag("--complexity-n", type=int, default=500),
+    ]),
+    "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
+        _flag("--word", required=True),
+        _flag("--prefix", type=int, default=100000),
+        _flag("--expect", type=int),
+    ]),
+    "splice": ("the glued word around 010110", cert_splice, [
+        _flag("--prefix", type=int, default=100000),
+        _flag("--center", type=int, default=200),
+    ]),
+    "table1": ("classify and verify one cell", cert_table1, [
+        _flag("--p", type=int, required=True),
+        _flag("--beta", required=True, help="column bound like 8/3, or inf"),
+        _flag("--cap", type=int, default=400),
+        _flag("--nodes", type=int),
+    ]),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="palfree",
                                  description="verification toolkit for "
                                              "palindrome-scarce repetition-free words")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    s = sub.add_parser("verify-morphism", help="freeness transfer + palindrome budget")
-    s.add_argument("--instance", required=True, choices=transfer_mod.shipped_instances())
-    s.add_argument("--window", type=int)
-    s.add_argument("--depth", type=int)
-
-    s = sub.add_parser("optimality", help="nonexistence search certificate")
-    s.add_argument("--alphabet", type=int, default=2)
-    s.add_argument("--exp")
-    s.add_argument("--strict", choices=("true", "false"))
-    s.add_argument("--pal", type=int)
-    s.add_argument("--cap", type=int, default=400)
-    s.add_argument("--nodes", type=int, default=_default_nodes())
-    s.add_argument("--symmetry", action="store_true")
-    s.add_argument("--forbid", action="append", default=[])
-
-    s = sub.add_parser("growth", help="exact counts and growth estimate")
-    s.add_argument("--pal", type=int, required=True)
-    s.add_argument("--max-n", type=int, default=60)
-    s.add_argument("--window", type=int)
-    s.add_argument("--expect", type=float)
-    s.add_argument("--tol", type=float, default=0.01)
-
-    s = sub.add_parser("preimage-prove", help="refute forbidden factors in pre-images")
-    s.add_argument("--morphism", required=True, choices=("mu", "nu"))
-    s.add_argument("--family", choices=("F18", "F20"))
-    s.add_argument("--target")
-
-    s = sub.add_parser("rauzy", help="survivor windows, components, comparison")
-    s.add_argument("--exp", required=True)
-    s.add_argument("--strict", choices=("true", "false"))
-    s.add_argument("--pal", type=int, required=True)
-    s.add_argument("--ell", type=int, required=True)
-    s.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    s.add_argument("--margin", type=int)
-    s.add_argument("--trim", action="store_true")
-    s.add_argument("--compare")
-    s.add_argument("--select-avoiding")
-    s.add_argument("--nodes", type=int, default=_default_nodes())
-    s.add_argument("--no-symmetry", action="store_true")
-
-    s = sub.add_parser("exponent", help="critical exponents three ways")
-    s.add_argument("--word", required=True)
-    s.add_argument("--method", choices=("empirical", "bispecial", "closed-form"),
-                   default="empirical")
-    s.add_argument("--prefix", type=int, default=100000)
-    s.add_argument("--max-bs", type=int, default=500)
-    s.add_argument("--expect")
-    s.add_argument("--bound")
-
-    s = sub.add_parser("structure", help="bispecial factors, families, return words")
-    s.add_argument("--word", required=True)
-    s.add_argument("--max-bs", type=int, default=200)
-    s.add_argument("--complexity-n", type=int, default=500)
-
-    s = sub.add_parser("palindromes", help="stabilized distinct-palindrome count")
-    s.add_argument("--word", required=True)
-    s.add_argument("--prefix", type=int, default=100000)
-    s.add_argument("--expect", type=int)
-
-    s = sub.add_parser("splice", help="the glued word around 010110")
-    s.add_argument("--prefix", type=int, default=100000)
-    s.add_argument("--center", type=int, default=200)
-
-    s = sub.add_parser("table1", help="classify and verify one cell")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--beta", required=True, help="column bound like 8/3, or inf")
-    s.add_argument("--cap", type=int, default=400)
-    s.add_argument("--nodes", type=int)
+    for cmd, (help_text, _builder, flags) in COMMANDS.items():
+        s = sub.add_parser(cmd, help=help_text)
+        for name, _dest, kw, _when in flags:
+            if callable(kw.get("default")):  # read the environment now
+                kw = dict(kw, default=kw["default"]())
+            s.add_argument(name, **kw)
+        s.add_argument("--out", help="write the certificate to a file")
 
     s = sub.add_parser("replay", help="re-run a certificate and compare")
     s.add_argument("file")
@@ -648,63 +612,40 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--deep", action="store_true",
                    help="include the ell=78 strong-component run (minutes)")
     s.add_argument("--out-dir")
-
-    for name, parser in sub.choices.items():
-        if name not in ("replay", "verify-all"):
-            parser.add_argument("--out", help="write the certificate to a file")
     return ap
 
 
+def canonical_command(args) -> str:
+    """The command line that re-runs args.  A flag appears, in table order,
+    when it is required or its value is set (not None, False, "" or [];
+    defaults included) and its `when` test holds; a store_true flag appears
+    bare and an append flag once per value."""
+    words = [args.cmd]
+    for name, dest, kw, when in COMMANDS[args.cmd][2]:
+        value = getattr(args, dest)
+        unset = value is None or value is False or value in ("", [])
+        if (unset and not kw.get("required")) or (when and not when(args)):
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            words += [name] if v is True else [name, str(v)]
+    return " ".join(shlex.quote(w) for w in words)
+
+
 def run_command(argv: list[str]) -> Certificate:
-    args = build_parser().parse_args(argv)
-    return _dispatch(args)
+    return _dispatch(build_parser().parse_args(argv))
 
 
 def _dispatch(args) -> Certificate:
+    _help, builder, flags = COMMANDS[args.cmd]
     t0 = time.monotonic()
-    cert = _build(args)
+    cert = builder(**{dest: getattr(args, dest) for _name, dest, _kw, _when in flags})
     cert.wall_ms = int((time.monotonic() - t0) * 1000)
+    cert.command = canonical_command(args)
     return cert
 
 
-def _build(args) -> Certificate:
-    if args.cmd == "verify-morphism":
-        return cert_verify_morphism(args.instance, args.window, args.depth)
-    if args.cmd == "optimality":
-        return cert_optimality(args.alphabet, args.exp, args.strict, args.pal,
-                               args.cap, args.nodes, args.symmetry,
-                               tuple(args.forbid))
-    if args.cmd == "growth":
-        return cert_growth(args.pal, args.max_n, args.window, args.expect, args.tol)
-    if args.cmd == "preimage-prove":
-        return cert_preimage(args.morphism, args.family, args.target)
-    if args.cmd == "rauzy":
-        return cert_rauzy(args.exp, args.strict, args.pal, args.ell, args.mode,
-                          args.margin, args.trim, args.compare,
-                          args.select_avoiding, args.nodes, not args.no_symmetry)
-    if args.cmd == "exponent":
-        return cert_exponent(args.word, args.method, args.prefix, args.max_bs,
-                             args.expect, args.bound)
-    if args.cmd == "structure":
-        return cert_structure(args.word, args.max_bs, args.complexity_n)
-    if args.cmd == "palindromes":
-        return cert_palindromes(args.word, args.prefix, args.expect)
-    if args.cmd == "splice":
-        return cert_splice(args.prefix, args.center)
-    if args.cmd == "table1":
-        return cert_table1(args.p, args.beta, args.cap, args.nodes)
-    raise SystemExit(f"unhandled command {args.cmd}")
-
-
-BATTERY = [
-    ("transfer-thm3a", "verify-morphism --instance thm3a"),
-    ("transfer-thm3b", "verify-morphism --instance thm3b"),
-    ("transfer-thm3c", "verify-morphism --instance thm3c"),
-    ("transfer-thm3d", "verify-morphism --instance thm3d"),
-    ("transfer-thm3e", "verify-morphism --instance thm3e"),
-    ("transfer-thm3f", "verify-morphism --instance thm3f"),
-    ("transfer-thm3g", "verify-morphism --instance thm3g"),
-    ("transfer-thm3h", "verify-morphism --instance thm3h"),
+BATTERY = [(f"transfer-{name}", f"verify-morphism --instance {name}")
+           for name in transfer_mod.shipped_instances()] + [
     ("palindromes-baseline", "palindromes --word 001011 --prefix 100000 --expect 9"),
     ("palindromes-mu", "palindromes --word mu_p --prefix 100000 --expect 18"),
     ("palindromes-nu", "palindromes --word nu_p --prefix 100000 --expect 20"),
@@ -733,23 +674,17 @@ DEEP_BATTERY = [
 
 def _battery_job(item):
     name, cmd = item
-    cert = run_command(shlex.split(cmd))
-    return name, cert.render()
+    return name, run_command(shlex.split(cmd)).render()
 
 
 def cmd_verify_all(args) -> int:
-    jobs = list(BATTERY) + (list(DEEP_BATTERY) if args.deep else [])
-    results = {}
+    jobs = BATTERY + (DEEP_BATTERY if args.deep else [])
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for name, rendered in pool.map(_battery_job, jobs):
-                results[name] = rendered
+            results = dict(pool.map(_battery_job, jobs))
     else:
-        for item in jobs:
-            name, rendered = _battery_job(item)
-            results[name] = rendered
-    from .certificates import parse_certificate
+        results = dict(map(_battery_job, jobs))
     codes = []
     for name, _cmd in jobs:
         cert = parse_certificate(results[name])
@@ -760,15 +695,10 @@ def cmd_verify_all(args) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
             with open(os.path.join(args.out_dir, name + ".cert"), "w") as fh:
                 fh.write(results[name])
-    if any(c == 1 for c in codes):
-        return 1
-    if any(c == 2 for c in codes):
-        return 2
-    return 0
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     if args.cmd == "verify-all":
         return cmd_verify_all(args)
@@ -788,9 +718,8 @@ def main(argv=None) -> int:
     except search_mod.SymmetryError as exc:
         print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
         return 2
-    out = getattr(args, "out", None)
-    if out:
-        cert.write(out)
+    if args.out:
+        cert.write(args.out)
     sys.stdout.write(cert.render())
     return cert.exit_code
 

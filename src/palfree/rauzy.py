@@ -38,9 +38,6 @@ class RauzyGraph:
     def least_arc(self) -> str:
         return min(self.arcs)
 
-    def arc_map(self, f) -> "RauzyGraph":
-        return RauzyGraph.from_arcs(f(w) for w in self.arcs)
-
     def avoids(self, factor: str) -> bool:
         return all(factor not in w for w in self.arcs)
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from palfree.cli import GREEN_ANCHORS, classify_cell, main, run_command
+from palfree import cli
+from palfree.cli import (COMMANDS, GREEN_ANCHORS, build_parser, canonical_command,
+                         classify_cell, main, run_command)
 from fractions import Fraction
 
 F = Fraction
@@ -140,3 +142,167 @@ def test_python_dash_m_palfree_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "verify-morphism" in proc.stdout
+
+
+# (invocation, the `command:` line its certificate carries).  Every line but
+# the `table1 ... --nodes 0` one is what the per-builder renderers of
+# earlier versions wrote; those dropped `--nodes 0` from table1, so its
+# certificate did not replay.
+COMMAND_LINES = [
+    ('verify-morphism --instance thm3a',
+     'verify-morphism --instance thm3a'),
+    ('verify-morphism --instance thm3b --window 0 --depth 0',
+     'verify-morphism --instance thm3b --window 0 --depth 0'),
+    ('verify-morphism --depth 12 --instance thm3c --window 40 --out x.cert',
+     'verify-morphism --instance thm3c --window 40 --depth 12'),
+    ('optimality',
+     'optimality --alphabet 2 --cap 400'),
+    ('optimality --alphabet 2 --pal 8 --cap 400 --symmetry',
+     'optimality --alphabet 2 --pal 8 --cap 400 --symmetry'),
+    ("optimality --exp '' --pal 8",
+     'optimality --alphabet 2 --pal 8 --cap 400'),
+    ('optimality --exp 3 --strict false --pal 14 --symmetry --nodes 0',
+     'optimality --alphabet 2 --exp 3 --strict false --pal 14 --cap 400 --nodes 0 --symmetry'),
+    ('optimality --forbid 00 --forbid 11 --pal 5 --cap 30',
+     'optimality --alphabet 2 --pal 5 --cap 30 --forbid 00 --forbid 11'),
+    ("optimality --forbid '0 1' --cap 3",
+     "optimality --alphabet 2 --cap 3 --forbid '0 1'"),
+    ('optimality --alphabet 3 --exp 2 --strict true --cap 0 --nodes 10',
+     'optimality --alphabet 3 --exp 2 --strict true --cap 0 --nodes 10'),
+    ('growth --pal 11',
+     'growth --pal 11 --max-n 60'),
+    ('growth --pal 11 --max-n 60 --expect 1.1127756842787 --tol 0.01',
+     'growth --pal 11 --max-n 60 --expect 1.1127756842787 --tol 0.01'),
+    ('growth --pal 11 --tol 0.5',
+     'growth --pal 11 --max-n 60'),
+    ('growth --pal 11 --expect 0 --window 0',
+     'growth --pal 11 --max-n 60 --window 0 --expect 0.0 --tol 0.01'),
+    ('growth --pal 9 --max-n 20 --expect 1.10 --tol 2e-2',
+     'growth --pal 9 --max-n 20 --expect 1.1 --tol 0.02'),
+    ('preimage-prove --morphism mu --family F18',
+     'preimage-prove --morphism mu --family F18'),
+    ("preimage-prove --morphism nu --target ''",
+     'preimage-prove --morphism nu'),
+    ('preimage-prove --target 0110 --morphism mu',
+     'preimage-prove --morphism mu --target 0110'),
+    ('rauzy --exp 13/5 --strict false --pal 18 --ell 20 --mode weak --margin 40 --trim --compare mu_p --select-avoiding 1101',
+     'rauzy --exp 13/5 --strict false --pal 18 --ell 20 --mode weak --margin 40 --trim --compare mu_p --select-avoiding 1101'),
+    ('rauzy --exp 3 --pal 10 --ell 5',
+     'rauzy --exp 3 --pal 10 --ell 5 --mode weak'),
+    ("rauzy --exp 3 --pal 10 --ell 5 --compare '' --select-avoiding ''",
+     'rauzy --exp 3 --pal 10 --ell 5 --mode weak'),
+    ('rauzy --no-symmetry --nodes 5 --exp 3 --pal 10 --ell 5 --mode strong --margin 0',
+     'rauzy --exp 3 --pal 10 --ell 5 --mode strong --margin 0 --nodes 5 --no-symmetry'),
+    ("rauzy --exp '' --pal 10 --ell 5",
+     "rauzy --exp '' --pal 10 --ell 5 --mode weak"),
+    ('exponent --word nu_p',
+     'exponent --word nu_p --method empirical --prefix 100000'),
+    ('exponent --word nu_p --method bispecial --expect 5/2',
+     'exponent --word nu_p --method bispecial --max-bs 500 --expect 5/2'),
+    ('exponent --word nu_p --method bispecial --prefix 7 --max-bs 3',
+     'exponent --word nu_p --method bispecial --max-bs 3'),
+    ('exponent --word p --method closed-form --prefix 7 --max-bs 3 --expect 2.48',
+     'exponent --word p --method closed-form --expect 2.48'),
+    ('exponent --word mu_p --method empirical --max-bs 9 --bound 28/11+ --prefix 50000',
+     'exponent --word mu_p --method empirical --prefix 50000 --bound 28/11+'),
+    ("exponent --word mu_p --expect '' --bound ''",
+     'exponent --word mu_p --method empirical --prefix 100000'),
+    ('structure --word p',
+     'structure --word p --max-bs 200 --complexity-n 500'),
+    ('structure --word nu_p --max-bs 0 --complexity-n 10',
+     'structure --word nu_p --max-bs 0 --complexity-n 10'),
+    ('palindromes --word 001011',
+     'palindromes --word 001011 --prefix 100000'),
+    ('palindromes --word mu_p --prefix 0 --expect 0',
+     'palindromes --word mu_p --prefix 0 --expect 0'),
+    ("palindromes --word ''",
+     "palindromes --word '' --prefix 100000"),
+    ('splice',
+     'splice --prefix 100000 --center 200'),
+    ('splice --center 0 --prefix 5',
+     'splice --prefix 5 --center 0'),
+    ('table1 --p 14 --beta 8/3 --cap 200 --nodes 0',
+     'table1 --p 14 --beta 8/3 --cap 200 --nodes 0'),
+    ('table1 --p 9 --beta inf',
+     'table1 --p 9 --beta inf --cap 400'),
+    ('table1 --beta 8/3 --nodes 7 --p 14',
+     'table1 --p 14 --beta 8/3 --cap 400 --nodes 7'),
+]
+
+
+def _canonical(cmdline):
+    return canonical_command(build_parser().parse_args(shlex.split(cmdline)))
+
+
+def test_canonical_command_lines(monkeypatch):
+    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+    for invocation, expected in COMMAND_LINES:
+        assert _canonical(invocation) == expected, invocation
+
+
+def test_canonical_command_is_a_fixed_point(monkeypatch):
+    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+    seen = set()
+    for _invocation, expected in COMMAND_LINES:
+        assert _canonical(expected) == expected
+        seen.add(shlex.split(expected)[0])
+    assert seen == set(COMMANDS)
+
+
+def test_node_budget_from_environment_is_rendered(monkeypatch):
+    monkeypatch.setenv("PALFREE_NODE_BUDGET", "77")
+    assert _canonical("optimality --pal 8") == \
+        "optimality --alphabet 2 --pal 8 --cap 400 --nodes 77"
+    assert _canonical("rauzy --exp 3 --pal 10 --ell 5 --nodes 5") == \
+        "rauzy --exp 3 --pal 10 --ell 5 --mode weak --nodes 5"
+    assert _canonical("table1 --p 9 --beta inf") == "table1 --p 9 --beta inf --cap 400"
+
+
+def test_table1_nodes_zero_replays(tmp_path, capsys):
+    path = tmp_path / "cell.cert"
+    code = main(["table1", "--p", "14", "--beta", "8/3", "--cap", "200",
+                 "--nodes", "0", "--out", str(path)])
+    assert code == 2
+    assert "command: table1 --p 14 --beta 8/3 --cap 200 --nodes 0\n" in path.read_text()
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 0
+    assert "replay ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value,message", [("0", "must be at least 1, got 0"),
+                                           ("-1", "must be at least 1, got -1"),
+                                           ("x", "invalid int value: 'x'")])
+def test_growth_rejects_max_n_below_one(value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--pal", "11", "--max-n", value])
+    assert exc.value.code == 2
+    assert f"argument --max-n: {message}" in capsys.readouterr().err
+
+
+def test_growth_max_n_one():
+    cert = run("growth --pal 11 --max-n 1")
+    assert cert.command == "growth --pal 11 --max-n 1"
+    assert cert.lists["counts"] == ["0 1", "1 2"]
+
+
+def test_battery_transfer_jobs_follow_shipped_instances():
+    from palfree.transfer import shipped_instances
+    names = [name for name, _cmd in cli.BATTERY if name.startswith("transfer-")]
+    assert names == [f"transfer-thm3{c}" for c in "abcdefgh"]
+    assert names == [f"transfer-{n}" for n in shipped_instances()]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_writes_replayable_certificates(jobs, tmp_path, monkeypatch, capsys):
+    battery = [("palindromes-small", "palindromes --word 001011 --prefix 2000 --expect 9"),
+               ("table1-periodic", "table1 --p 9 --beta inf")]
+    monkeypatch.setattr(cli, "BATTERY", battery)
+    assert main(["verify-all", "--jobs", jobs, "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    for name, _cmd in battery:
+        assert f"PASS         {name}" in out
+        path = tmp_path / f"{name}.cert"
+        assert path.exists()
+        assert main(["replay", str(path)]) == 0
+    assert "command: table1 --p 9 --beta inf --cap 400\n" in \
+        (tmp_path / "table1-periodic.cert").read_text()

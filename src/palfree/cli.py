@@ -512,6 +512,28 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _stream_name(text: str) -> str:
+    """--word: a name that structure.named_stream knows, returned unchanged
+    ('' is left for the builder to refuse)."""
+    if text:
+        try:
+            structure_mod.named_stream(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _column_bound(text: str) -> str:
+    """table1 --beta: a fraction, inf or none, returned unchanged."""
+    if text not in ("inf", "none"):
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"not a fraction, inf or none: {text!r}") from None
+    return text
+
+
 def _flag(name: str, when=None, **kw):
     """A flag: its name, argparse dest and keywords, and an optional test
     of the parsed arguments that must hold for the flag to be rendered."""
@@ -560,21 +582,22 @@ COMMANDS = {
         _flag("--no-symmetry", action="store_true"),
     ]),
     "exponent": ("critical exponents three ways", cert_exponent, [
-        _flag("--word", required=True),
+        _flag("--word", required=True, type=_stream_name),
         _flag("--method", choices=("empirical", "bispecial", "closed-form"),
               default="empirical"),
         _flag("--prefix", when=lambda a: a.method == "empirical", type=int, default=100000),
-        _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500),
+        _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
+              help="ignored: the bispecial method uses its own limit"),
         _flag("--expect"),
         _flag("--bound"),
     ]),
     "structure": ("bispecial factors, families, return words", cert_structure, [
-        _flag("--word", required=True),
+        _flag("--word", required=True, type=_stream_name),
         _flag("--max-bs", type=int, default=200),
         _flag("--complexity-n", type=int, default=500),
     ]),
     "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
-        _flag("--word", required=True),
+        _flag("--word", required=True, type=_stream_name),
         _flag("--prefix", type=int, default=100000),
         _flag("--expect", type=int),
     ]),
@@ -584,7 +607,8 @@ COMMANDS = {
     ]),
     "table1": ("classify and verify one cell", cert_table1, [
         _flag("--p", type=int, required=True),
-        _flag("--beta", required=True, help="column bound like 8/3, or inf"),
+        _flag("--beta", required=True, type=_column_bound,
+              help="column bound like 8/3, or inf"),
         _flag("--cap", type=int, default=400),
         _flag("--nodes", type=int),
     ]),

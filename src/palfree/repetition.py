@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from . import runs
 
-_SMALL = 4096
-
 
 @dataclass(frozen=True)
 class ExponentBound:
@@ -83,92 +81,73 @@ def exponent_of(w: str) -> tuple[Fraction, str]:
 
 
 def _max_stretch_exact(w: str) -> tuple[int, int, int]:
-    """(length, period, start) maximizing length/period, by full period scan."""
+    """(length, period, start) maximizing length/period, ties going to the
+    leftmost start, then the shortest period, by full period scan."""
     n = len(w)
-    best = (1, 1, 0)
+    bl, bp, bs = 1, 1, 0
     for p in range(1, n):
         run = 0
         for i in range(p, n):
             if w[i] == w[i - p]:
                 run += 1
-                if (run + p) * best[1] > best[0] * p:
-                    best = (run + p, p, i - run - p + 1)
+                a, b = (run + p) * bp, bl * p
+                if a > b or (a == b and (i - run - p + 1, p) < (bs, bp)):
+                    bl, bp, bs = run + p, p, i - run - p + 1
             else:
                 run = 0
-    return best
+    return bl, bp, bs
 
 
 def critical_exponent(w: str, with_witness: bool = False):
     """max over factors v of |v| / smallest period of v, as an exact Fraction.
 
-    Small words get a direct quadratic scan; large ones the run scan of
-    runs.max_stretch_ratio, which is exact whenever the answer is >= 2
-    (otherwise the quadratic scan is rerun, which only pathological long
-    square-free inputs trigger).
+    The run scan of runs.max_stretch_ratio is exact whenever the answer is
+    >= 2; below that (square-free words) the quadratic scan
+    _max_stretch_exact is run.  Both pick the same witness: highest ratio,
+    then leftmost start, then shortest period.
     """
     if not w:
         raise ValueError("critical exponent of the empty word")
-    if len(w) <= _SMALL:
+    ln, p, st = runs.max_stretch_ratio(w)
+    if ln < 2 * p:
         ln, p, st = _max_stretch_exact(w)
-    else:
-        ln, p, st = runs.max_stretch_ratio(w)
-        if Fraction(ln, p) < 2:
-            ln, p, st = _max_stretch_exact(w)
     e = Fraction(ln, p)
     if with_witness:
         return e, w[st:st + ln]
     return e
 
 
-def _first_violation_scan(w: str, bound: ExponentBound) -> Violation | None:
-    """Leftmost-end then shortest violating factor, by per-position scan."""
-    n = len(w)
-    best = None  # (end, length, period)
-    for p in range(1, n):
-        run = 0
-        need = bound.min_violating_length(p)
-        if need - p < 1:
-            need = p + 1
-        for i in range(p, n):
-            if w[i] == w[i - p]:
-                run += 1
-                if run + p >= need:
-                    end = i - (run + p - need)
-                    cand = (end, need, p)
-                    if best is None or cand < best:
-                        best = cand
-                    break
-            else:
-                run = 0
-    if best is None:
-        return None
-    end, length, p = best
-    factor = w[end - length + 1:end + 1]
-    return Violation(factor, factor[:p], Fraction(length, p))
-
-
 def is_free(w: str, bound: ExponentBound) -> Violation | None:
     """None when w satisfies the bound; otherwise the first violation in
-    leftmost-end-then-shortest order."""
-    if len(w) <= _SMALL or bound.threshold < 2:
-        return _first_violation_scan(w, bound)
-    found = runs.violations(w, bound.threshold.numerator,
-                            bound.threshold.denominator, bound.strict)
-    if not found:
-        return None
-    best = None
-    for ln, p, st in found:
-        need = bound.min_violating_length(p)
-        if need < p + 1:
-            need = p + 1
-        if ln < need:
-            continue
-        cand = (st + need - 1, need, p, st)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    end, length, p, st = best
+    leftmost-end-then-shortest order.
+
+    Bounds >= 2 take the earliest-ending violation among the runs of
+    runs.violations.  Runs cannot see exponents below 2, so lower bounds feed
+    w to an IncrementalFreeChecker: its first refused letter is the leftmost
+    violating end, and there the smallest fitting period gives the shortest
+    violation, because min_violating_length(p) does not decrease in p.
+    """
+    need = bound.min_violating_length
+    if bound.threshold >= 2:
+        found = runs.violations(w, bound.threshold.numerator,
+                                bound.threshold.denominator, bound.strict)
+        if not found:
+            return None
+        # a violating run holds at least need(p) letters, so its first
+        # violation ends at st + need(p) - 1
+        end, length, p = min((st + need(p) - 1, need(p), p) for _ln, p, st in found)
+    else:
+        chk = IncrementalFreeChecker(bound)
+        chk.buf = w  # every push finds its letter in place, so nothing is copied
+        for end, c in enumerate(w):
+            if not chk.push(c):
+                break
+        else:
+            return None
+        for p in range(1, end + 1):
+            length = need(p)
+            if w[end + 1 - length:end + 1 - p] == w[end + 1 - length + p:end + 1]:
+                break
     factor = w[end - length + 1:end + 1]
     return Violation(factor, factor[:p], Fraction(length, p))
 

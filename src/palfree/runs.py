@@ -4,7 +4,9 @@ A stretch is a triple (length, period, start): a factor of that length all
 of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
 iter_runs yields every stretch with length >= 2*period exactly once;
 stretches of exponent < 2 are never reported, so callers treat a maximum
-below 2 as "no run" (see repetition.critical_exponent).
+below 2 as "no run": repetition.critical_exponent then scans the word
+quadratically, and repetition.is_free uses the incremental checker for
+bounds below 2.
 
 Periods are scanned in bands [P, 2P) with blocks w[i:i+h], h = max(1, P//2),
 at every multiple i of h.  A run of length L >= 2p and period p in the band,

@@ -57,29 +57,13 @@ def palindrome_set(w: str) -> set[str]:
     """All distinct palindromic factors of w, always including the empty word.
 
     Backed by the palindromic tree; agreement with the direct scanner is a
-    tested invariant (see palindrome_set_scan).
+    tested invariant (see palindrome_set_scan in tests/conftest.py).
     """
     tree = Eertree()
     for c in w:
         tree.push(c)
     out = set(tree.alive_words())
     out.add("")
-    return out
-
-
-def palindrome_set_scan(w: str) -> set[str]:
-    """Reference enumerator: expand around every center.  O(n * maxpal)."""
-    out = {""}
-    n = len(w)
-    for center in range(n):
-        r = 0
-        while center - r >= 0 and center + r < n and w[center - r] == w[center + r]:
-            out.add(w[center - r:center + r + 1])
-            r += 1
-        r = 0
-        while center - r >= 0 and center + 1 + r < n and w[center - r] == w[center + 1 + r]:
-            out.add(w[center - r:center + r + 2])
-            r += 1
     return out
 
 

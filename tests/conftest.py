@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from palfree.repetition import ExponentBound
+from palfree.repetition import ExponentBound, Violation
 from palfree.structure import named_stream
 
 
@@ -48,6 +50,49 @@ def maximal_stretches(w):
                     out.append((run + p, p, i - run - p + 1))
             else:
                 run = 0
+    return out
+
+
+def _first_violation_scan(w: str, bound: ExponentBound) -> Violation | None:
+    """Leftmost-end then shortest violating factor, by per-position scan."""
+    n = len(w)
+    best = None  # (end, length, period)
+    for p in range(1, n):
+        run = 0
+        need = bound.min_violating_length(p)
+        if need - p < 1:
+            need = p + 1
+        for i in range(p, n):
+            if w[i] == w[i - p]:
+                run += 1
+                if run + p >= need:
+                    end = i - (run + p - need)
+                    cand = (end, need, p)
+                    if best is None or cand < best:
+                        best = cand
+                    break
+            else:
+                run = 0
+    if best is None:
+        return None
+    end, length, p = best
+    factor = w[end - length + 1:end + 1]
+    return Violation(factor, factor[:p], Fraction(length, p))
+
+
+def palindrome_set_scan(w: str) -> set[str]:
+    """Reference enumerator: expand around every center.  O(n * maxpal)."""
+    out = {""}
+    n = len(w)
+    for center in range(n):
+        r = 0
+        while center - r >= 0 and center + r < n and w[center - r] == w[center + r]:
+            out.add(w[center - r:center + r + 1])
+            r += 1
+        r = 0
+        while center - r >= 0 and center + 1 + r < n and w[center - r] == w[center + 1 + r]:
+            out.add(w[center - r:center + r + 2])
+            r += 1
     return out
 
 

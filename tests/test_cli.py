@@ -279,6 +279,23 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     assert f"argument --max-n: {message}" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv,message", [
+    (["palindromes", "--word", "xyz"], "argument --word: unknown stream 'xyz'"),
+    (["exponent", "--word", "nu"], "argument --word: unknown stream 'nu'"),
+    (["structure", "--word", "0124"], "argument --word: unknown stream '0124'"),
+    (["table1", "--p", "9", "--beta", "x"],
+     "argument --beta: not a fraction, inf or none: 'x'"),
+    (["table1", "--p", "9", "--beta", "1/0"],
+     "argument --beta: not a fraction, inf or none: '1/0'"),
+])
+def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_growth_max_n_one():
     cert = run("growth --pal 11 --max-n 1")
     assert cert.command == "growth --pal 11 --max-n 1"

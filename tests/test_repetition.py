@@ -2,15 +2,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PerPeriodFreeChecker, brute_critical_exponent,
-                      maximal_stretches)
-from palfree import repetition, runs
+from conftest import (PerPeriodFreeChecker, _first_violation_scan,
+                      brute_critical_exponent, maximal_stretches)
+from palfree import runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
-                                _first_violation_scan, critical_exponent,
-                                exponent_of, is_free, smallest_period)
+                                critical_exponent, exponent_of, is_free,
+                                smallest_period)
 
 F = Fraction
 
@@ -113,12 +113,66 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
 @settings(max_examples=150, deadline=None)
 @given(run_scan_words, bound_specs)
 def test_is_free_run_scan_matches_per_position_scan(w, spec):
-    """is_free on words above _SMALL goes through runs.violations; lowering
-    _SMALL sends these short words there too."""
+    """is_free goes through runs.violations."""
     b = ExponentBound.parse(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repetition, "_SMALL", 0)
-        assert is_free(w, b) == _first_violation_scan(w, b), w
+    assert is_free(w, b) == _first_violation_scan(w, b), w
+
+
+def _thue_word(n):
+    """Prefix of the square-free ternary fixed point of 0->012, 1->02, 2->1."""
+    w = "0"
+    while len(w) < n:
+        w = "".join({"0": "012", "1": "02", "2": "1"}[c] for c in w)
+    return w[:n]
+
+
+THUE = _thue_word(400)
+thue_factors = st.tuples(st.integers(0, 399), st.integers(1, 80)).map(
+    lambda t: THUE[t[0]:t[0] + t[1]])
+
+
+def _flip_ternary(w, i, k):
+    i %= len(w)
+    return w[:i] + str((int(w[i]) + k) % 3) + w[i + 1:]
+
+
+# random words over 2-4 letters, square-free ternary words, and square-free
+# words with one letter flipped, which hold a few short repetitions
+low_bound_words = st.one_of(
+    st.sampled_from(["01", "012", "0123"]).flatmap(
+        lambda a: st.text(alphabet=a, max_size=80)),
+    thue_factors,
+    st.tuples(thue_factors, st.integers(0, 79), st.integers(1, 2)).map(
+        lambda t: _flip_ternary(*t)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(low_bound_words, st.sampled_from(["6/5+", "7/5+", "3/2", "3/2+", "5/3+",
+                                         "7/4", "7/4+", "9/5"]))
+def test_is_free_below_two_matches_per_position_scan(w, spec):
+    """Bounds below 2 are out of reach of the runs scan: is_free feeds the
+    word to the incremental checker and picks the period at its first
+    refused letter."""
+    b = ExponentBound.parse(spec)
+    assert is_free(w, b) == _first_violation_scan(w, b), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(run_scan_words.filter(bool), thue_factors))
+@example("01101122")  # 11, 011011 and 22 have exponent 2: 011011 starts first
+@example("012101")  # square-free: 012101 (period 4) starts before 121
+@example(THUE)
+def test_critical_exponent_witness_tie_break(w):
+    """The witness is the stretch of highest ratio, then leftmost start,
+    then shortest period, on both sides of exponent 2."""
+    stretches = maximal_stretches(w) or [(1, 1, 0)]
+    ln, p, st_ = max(stretches, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
+    assert critical_exponent(w, with_witness=True) == (F(ln, p), w[st_:st_ + ln]), w
+
+
+def test_thue_word_is_square_free():
+    assert all(ln < 2 * p for ln, p, _ in maximal_stretches(THUE))
 
 
 def test_is_free_examples():

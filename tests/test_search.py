@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _first_violation_scan
 from palfree.morphisms import load_morphism
-from palfree.repetition import ExponentBound, _first_violation_scan
+from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             TERNARY_FORBIDDEN, BudgetExceeded,
                             ExhaustionCertificate, Inconclusive, Reached,

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
 from palfree.words import (FactorSet, complement, factors, palindrome_count,
-                           palindrome_set, palindrome_set_scan, parikh,
-                           read_words, reverse, write_words)
+                           palindrome_set, parikh, read_words, reverse,
+                           write_words)
 
 binary = st.text(alphabet="01", max_size=60)
 quaternary = st.text(alphabet="0123", max_size=50)

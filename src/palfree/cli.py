@@ -523,6 +523,23 @@ def _stream_name(text: str) -> str:
     return text
 
 
+def _exponent_bound(text: str) -> str:
+    """exponent --bound: '' or a bound like 28/11+, returned unchanged."""
+    if text:
+        try:
+            ExponentBound.parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"not an exponent bound: {text!r} ({exc})") from None
+    return text
+
+
+def _exponent_bound_or_none(text: str) -> str:
+    """optimality and rauzy --exp: none, inf or what --bound takes, returned
+    unchanged."""
+    return text if text in ("none", "inf") else _exponent_bound(text)
+
+
 def _column_bound(text: str) -> str:
     """table1 --beta: a fraction, inf or none, returned unchanged."""
     if text not in ("inf", "none"):
@@ -547,8 +564,8 @@ COMMANDS = {
         _flag("--depth", type=int),
     ]),
     "optimality": ("nonexistence search certificate", cert_optimality, [
-        _flag("--alphabet", type=int, default=2),
-        _flag("--exp"),
+        _flag("--alphabet", type=int, choices=range(1, 5), default=2),
+        _flag("--exp", type=_exponent_bound_or_none),
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=int),
         _flag("--cap", type=int, default=400),
@@ -569,7 +586,7 @@ COMMANDS = {
         _flag("--target"),
     ]),
     "rauzy": ("survivor windows, components, comparison", cert_rauzy, [
-        _flag("--exp", required=True),
+        _flag("--exp", required=True, type=_exponent_bound_or_none),
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=int, required=True),
         _flag("--ell", type=int, required=True),
@@ -589,7 +606,7 @@ COMMANDS = {
         _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
               help="ignored: the bispecial method uses its own limit"),
         _flag("--expect"),
-        _flag("--bound"),
+        _flag("--bound", type=_exponent_bound),
     ]),
     "structure": ("bispecial factors, families, return words", cert_structure, [
         _flag("--word", required=True, type=_stream_name),

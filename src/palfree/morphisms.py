@@ -3,6 +3,7 @@ matrices, uniformity, the synchronizing property, synchronization points."""
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from itertools import product
 
@@ -24,6 +25,8 @@ class Morphism:
         self.target_size = target_alphabet_size
         for im in self.images:
             check_word(im, self.target_size)
+        self._table = {ord("0") + i: im for i, im in enumerate(self.images)}
+        self._letters = frozenset(map(chr, self._table))
 
     def __repr__(self):
         body = ", ".join(f"{i}->{im}" for i, im in enumerate(self.images))
@@ -36,43 +39,33 @@ class Morphism:
         return hash(self.images)
 
     def apply(self, w: str) -> str:
-        images = self.images
-        try:
-            return "".join(images[int(c)] for c in w)
-        except IndexError:
-            raise ValueError(f"word {w!r} leaves the source alphabet") from None
+        """The image of w: one str.translate by a table of the images of the
+        letters 0..d-1.  A letter outside them raises ValueError."""
+        if not self._letters.issuperset(w):
+            raise ValueError(f"word {w!r} leaves the source alphabet")
+        return w.translate(self._table)
 
     __call__ = apply
 
     def is_prolongable_on(self, seed: str) -> bool:
-        im = self.images[int(seed)]
-        return im.startswith(seed) and len(im) >= 2
+        """True when f(seed) is seed followed by at least one letter."""
+        im = self.apply(seed)
+        return len(im) > len(seed) and im.startswith(seed)
 
     def fixed_point_prefix(self, seed: str, n: int) -> str:
         """Length-n prefix of the fixed point grown from a prolongable seed.
 
-        Expands letter images column by column instead of rewriting the whole
-        string repeatedly, so output is linear in n.
+        seed, f(seed), f(f(seed)), ... are ever longer prefixes of the fixed
+        point, so f is applied until the word has n letters.
         """
         if self.source_size != self.target_size:
             raise ValueError("fixed point needs an endomorphism")
         if not self.is_prolongable_on(seed):
             raise ValueError(f"morphism not prolongable on {seed!r}")
-        if n == 0:
-            return ""
-        # buf = images of buf's own letters, read left to right; stays a
-        # prefix of the fixed point, grows by >= 1 letter per step
-        chunks = [self.images[int(seed)]]
-        total = len(chunks[0])
-        pos = 1
-        buf = chunks[0]
-        while total < n:
-            if pos >= len(buf):
-                buf = "".join(chunks)
-            chunks.append(self.images[int(buf[pos])])
-            total += len(chunks[-1])
-            pos += 1
-        return "".join(chunks)[:n]
+        w = seed
+        while len(w) < n:
+            w = self.apply(w)
+        return w[:n]
 
     def incidence_matrix(self) -> list[list[int]]:
         """M[k][j] = occurrences of letter k in the image of letter j."""
@@ -228,8 +221,10 @@ def parse_morphism(text: str) -> Morphism:
     return Morphism(tuple(images[i] for i in range(len(images))))
 
 
+@cache
 def load_morphism(name: str) -> Morphism:
-    """Load one of the shipped morphism data files (phi, mu, nu, thm3a..thm3h)."""
+    """Load one of the shipped morphism data files (phi, mu, nu, thm3a..thm3h),
+    once per name."""
     data = resources.files("palfree").joinpath(f"data/{name}.txt").read_text()
     return parse_morphism(data)
 

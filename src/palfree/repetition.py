@@ -129,8 +129,7 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
     """
     need = bound.min_violating_length
     if bound.threshold >= 2:
-        found = runs.violations(w, bound.threshold.numerator,
-                                bound.threshold.denominator, bound.strict)
+        found = runs.violations(w, need)
         if not found:
             return None
         # a violating run holds at least need(p) letters, so its first
@@ -171,25 +170,19 @@ class IncrementalFreeChecker:
     O(log n) Python steps.
     """
 
-    __slots__ = ("num", "den", "strict", "buf", "n", "_need")
+    __slots__ = ("bound", "buf", "n", "_need")
 
     def __init__(self, bound: ExponentBound):
-        self.num = bound.threshold.numerator
-        self.den = bound.threshold.denominator
-        self.strict = bound.strict
+        self.bound = bound
         self.buf = ""  # buf[:n] is the word; letters past n await reuse
         self.n = 0
         self._need: list[int] = [0]  # _need[p]: match-run making period p violate
 
     def _extend_need(self, upto: int) -> None:
         need = self._need
-        num, den = self.num, self.den
-        for q in range(len(need), upto + 1):
-            if self.strict:
-                k = (q * (num - den)) // den + 1
-            else:
-                k = -((-q * (num - den)) // den)
-            need.append(k if k > 1 else 1)
+        length = self.bound.min_violating_length
+        # at least 1, since the threshold exceeds 1
+        need.extend(length(q) - q for q in range(len(need), upto + 1))
 
     def push(self, c: str) -> bool:
         n = self.n

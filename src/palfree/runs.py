@@ -86,9 +86,8 @@ def max_stretch_ratio(w: str, min_period: int = 1):
     return bl, bp, bs
 
 
-def violations(w: str, num: int, den: int, strict: bool):
-    """All maximal stretches violating the bound num/den, as
-    (length, period, start) triples.  Complete whenever num/den >= 2."""
-    if strict:
-        return [r for r in iter_runs(w) if r[0] * den > r[1] * num]
-    return [r for r in iter_runs(w) if r[0] * den >= r[1] * num]
+def violations(w: str, need):
+    """All maximal stretches (length, period, start) with
+    length >= need(period), for need an ExponentBound's min_violating_length.
+    Complete whenever the bound is >= 2."""
+    return [r for r in iter_runs(w) if r[0] >= need(r[1])]

@@ -33,27 +33,29 @@ class Stream:
 
 class MorphicStream(Stream):
     """Fixed point of an endomorphism, optionally pushed through an outer
-    morphism (images of prefixes are prefixes of the image word)."""
+    morphism (images of prefixes are prefixes of the image word).
+
+    Keeps the latest iterate inner^k(seed) and its outer image; a longer
+    prefix costs one more apply of each morphism per iterate.
+    """
 
     def __init__(self, name: str, inner: Morphism, seed: str,
                  outer: Morphism | None = None):
         self.name = name
         self.inner = inner
-        self.seed = seed
         self.outer = outer
-        self._cache = ""
+        # fixed_point_prefix refuses a seed the fixed point does not grow from
+        self._iterate = inner.fixed_point_prefix(seed, len(seed))
+        self._word = self._image(self._iterate)
+
+    def _image(self, w: str) -> str:
+        return w if self.outer is None else self.outer.apply(w)
 
     def prefix(self, n: int) -> str:
-        if len(self._cache) < n:
-            m = n if self.outer is None else n // min(len(im) for im in self.outer.images) + 1
-            base = self.inner.fixed_point_prefix(self.seed, max(m, 32))
-            out = base if self.outer is None else self.outer.apply(base)
-            while len(out) < n:
-                m *= 2
-                base = self.inner.fixed_point_prefix(self.seed, m)
-                out = base if self.outer is None else self.outer.apply(base)
-            self._cache = out
-        return self._cache[:n]
+        while len(self._word) < n:
+            self._iterate = self.inner.apply(self._iterate)
+            self._word = self._image(self._iterate)
+        return self._word[:n]
 
 
 class PeriodicStream(Stream):
@@ -261,20 +263,10 @@ def factor_complexity(stream: Stream, max_n: int, L: int = DEFAULT_PREFIX) -> li
 # ---------------------------------------------------------------------------
 # closed-form bispecial families
 
-PHI = None
-
-
-def _phi() -> Morphism:
-    global PHI
-    if PHI is None:
-        PHI = load_morphism("phi")
-    return PHI
-
-
 def _phi_pow(w: str, k: int) -> str:
-    m = _phi()
+    phi = load_morphism("phi")
     for _ in range(k):
-        w = m.apply(w)
+        w = phi.apply(w)
     return w
 
 

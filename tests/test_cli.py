@@ -2,15 +2,18 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from palfree import cli
+from palfree.certificates import read_certificate
 from palfree.cli import (COMMANDS, GREEN_ANCHORS, build_parser, canonical_command,
                          classify_cell, main, run_command)
 from fractions import Fraction
 
 F = Fraction
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run(cmd):
@@ -249,6 +252,17 @@ def test_canonical_command_is_a_fixed_point(monkeypatch):
     assert seen == set(COMMANDS)
 
 
+def test_reference_certificates_render_their_command_lines(monkeypatch):
+    """Every command: line pinned by the benchmark's reference certificates
+    parses and renders back byte for byte."""
+    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+    paths = sorted(REFERENCE_DIR.glob("*.cert"))
+    assert paths
+    for path in paths:
+        command = read_certificate(path).command
+        assert _canonical(command) == command, path.name
+
+
 def test_node_budget_from_environment_is_rendered(monkeypatch):
     monkeypatch.setenv("PALFREE_NODE_BUDGET", "77")
     assert _canonical("optimality --pal 8") == \
@@ -288,6 +302,16 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
      "argument --beta: not a fraction, inf or none: 'x'"),
     (["table1", "--p", "9", "--beta", "1/0"],
      "argument --beta: not a fraction, inf or none: '1/0'"),
+    (["optimality", "--exp", "x"], "argument --exp: not an exponent bound: 'x'"),
+    (["optimality", "--exp", "3/0"], "argument --exp: not an exponent bound: '3/0'"),
+    (["rauzy", "--exp", "1", "--pal", "18", "--ell", "20"],
+     "argument --exp: not an exponent bound: '1' (freeness threshold must exceed 1)"),
+    (["exponent", "--word", "mu_p", "--bound", "x"],
+     "argument --bound: not an exponent bound: 'x'"),
+    (["exponent", "--word", "mu_p", "--bound", "inf"],
+     "argument --bound: not an exponent bound: 'inf'"),
+    (["optimality", "--alphabet", "7"], "argument --alphabet: invalid choice: 7"),
+    (["optimality", "--alphabet", "0"], "argument --alphabet: invalid choice: 0"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -33,6 +33,12 @@ def test_apply_is_homomorphism():
 def test_apply_letter_out_of_range():
     with pytest.raises(ValueError):
         NU.apply("013")
+    with pytest.raises(ValueError):
+        NU.apply("01x2")  # not a digit
+    thue_morse = Morphism(("01", "10"))
+    assert thue_morse.apply("0110") == "01101001"
+    with pytest.raises(ValueError):
+        thue_morse.apply("0102")  # one past the binary source alphabet
 
 
 def test_fixed_point_prefixes():
@@ -53,6 +59,11 @@ def test_fixed_point_requires_prolongable_seed():
         PHI.fixed_point_prefix("1", 10)  # image 21 does not start with 1
     with pytest.raises(ValueError):
         MU.fixed_point_prefix("2", 10)  # image has length 1
+    for seed in ("", "5"):  # empty, and outside the alphabet
+        with pytest.raises(ValueError):
+            PHI.fixed_point_prefix(seed, 10)
+    # phi(01) = 0121 starts with 01, so 01 grows into the same fixed point
+    assert PHI.fixed_point_prefix("01", 35) == PHI.fixed_point_prefix("0", 35)
 
 
 def test_incidence_matrix():

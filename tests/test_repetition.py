@@ -100,8 +100,7 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
     assert sorted(runs.iter_runs(w, min_period)) == [
         r for r in expected if r[1] >= min_period]
     b = ExponentBound.parse(spec)
-    assert sorted(runs.violations(w, b.threshold.numerator, b.threshold.denominator,
-                                  b.strict)) == [
+    assert sorted(runs.violations(w, b.min_violating_length)) == [
         r for r in expected if b.violated_by(F(r[0], r[1]))]
     if expected:
         best = max(expected, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))

@@ -8,12 +8,36 @@ from palfree.structure import (FAMILIES, SEQ_SEEDS, TARGET_RATIO,
                                exact_family_ratios, expected_shortest_return_length,
                                extension_profile, factor_complexity,
                                family_bispecial, family_ratio_analysis,
-                               length_sequence, named_stream,
+                               MorphicStream, length_sequence, named_stream,
                                paper_display_checks, return_words,
                                sequence_solver, structural_exponent, tail_bound,
                                asymptotic_exponent)
 
 F = Fraction
+
+
+def test_named_stream_prefixes_grow_and_shrink():
+    """One stream object serves short, long and shorter prefixes, each equal
+    to the outer image of a freshly generated fixed-point prefix."""
+    phi = load_morphism("phi")
+    outers = {"p": None, "nu_p": load_morphism("nu"), "mu_p": load_morphism("mu")}
+    for name, outer in outers.items():
+        stream = named_stream(name)
+        for n in (10, 5000, 300, 200000):
+            # images are non-empty, so n letters of phi's fixed point suffice
+            base = phi.fixed_point_prefix("0", n)
+            want = base if outer is None else outer.apply(base)[:n]
+            assert stream.prefix(n) == want, (name, n)
+
+
+def test_morphic_stream_refuses_non_prolongable_seed():
+    phi = load_morphism("phi")
+    with pytest.raises(ValueError):
+        MorphicStream("bad", phi, "1")  # phi(1) = 21 does not start with 1
+    with pytest.raises(ValueError):
+        MorphicStream("bad", phi, "2")  # phi(2) = 0
+    with pytest.raises(ValueError):
+        MorphicStream("bad", load_morphism("nu"), "0")  # not an endomorphism
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Command-line front end: verifications as replayable certificates.
 
 Exit codes: 0 every check passed, 1 some check failed, 2 inconclusive
-(resource cap hit) with nothing failing.
+(resource cap hit) with nothing failing, or input refused: by the parser,
+or by a builder raising ValueError.
 """
 
 from __future__ import annotations
@@ -129,14 +130,14 @@ def cert_preimage(morphism: str, family: str | None, target: str | None) -> Cert
     cert = Certificate("", FAIL)
     expected_family = search_mod.FAMILY_NAMES[morphism]
     if family and family != expected_family:
-        raise SystemExit(f"morphism {morphism} carries family {expected_family}")
+        raise ValueError(f"morphism {morphism} carries family {expected_family}")
     from .morphisms import load_morphism
     m = load_morphism(morphism)
     image_forbidden = search_mod.IMAGE_FORBIDDEN[morphism]
     if target is not None:
         order = search_mod.REFUTATION_ORDER[morphism]
         if target not in order:
-            raise SystemExit(f"{target} is not in the shipped forbidden family")
+            raise ValueError(f"{target} is not in the shipped forbidden family")
         known = order[:order.index(target)]
         log = search_mod.prove_preimage_forbidden(
             m, target, image_forbidden, known, morphism_name=morphism)
@@ -224,8 +225,7 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
             ok = ok and same and ref == ref2
         else:
             ok = False
-        forb = {"mu_p": search_mod.IMAGE_FORBIDDEN["mu"],
-                "nu_p": search_mod.IMAGE_FORBIDDEN["nu"]}.get(compare)
+        forb = search_mod.IMAGE_FORBIDDEN.get(structure_mod.OUTER.get(compare))
         if forb:
             longest = max(len(f) for f in forb)
             cert.put("bridge-check",
@@ -295,7 +295,7 @@ def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
             ok = ok and near
         cert.outcome = PASS if ok else FAIL
     else:
-        raise SystemExit(f"unknown method {method}")
+        raise ValueError(f"unknown method {method}")
     return cert
 
 
@@ -315,20 +315,8 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
         ok = ok and "02" in text and "20" not in text
     profiles = structure_mod.bispecial_enumerate(stream, max_bs)
     cert.put("bispecial-count", len(profiles))
-    fam_words = {}
-    if word in ("p", "nu_p", "mu_p"):
-        fams = "ABCD"
-        for fam in fams:
-            n = 1 if (fam == "A" and word == "mu_p") else 0
-            while True:
-                try:
-                    fw = structure_mod.family_bispecial(word, fam, n)
-                except ValueError:
-                    break
-                if len(fw) > max_bs:
-                    break
-                fam_words[fw] = (fam, n)
-                n += 1
+    fam_words = {} if stream.periodic else structure_mod.family_members(word, max_bs)
+    short = structure_mod.SHORT_BISPECIAL_RATIOS.get(word, {})
     lines = []
     all_ordinary = True
     all_classified = True
@@ -337,11 +325,7 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
         rw = structure_mod.return_words(prof.word, stream)
         shortest = len(rw.shortest())
         tag = fam_words.get(prof.word)
-        extra = {"nu_p": ("01", "10", "0", "1"),
-                 "mu_p": ("0", "1", "01", "10", "010", "1001", "011001",
-                          "100101", "01100101"),
-                 "p": ()}.get(word, ())
-        if tag is None and prof.word not in extra:
+        if tag is None and prof.word not in short:
             all_classified = False
         if prof.b != 0:
             all_ordinary = False
@@ -756,7 +740,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cert = _dispatch(args)
-    except search_mod.SymmetryError as exc:
+    except ValueError as exc:  # input a builder refuses, SymmetryError included
         print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

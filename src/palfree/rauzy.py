@@ -41,10 +41,6 @@ class RauzyGraph:
     def avoids(self, factor: str) -> bool:
         return all(factor not in w for w in self.arcs)
 
-    def __eq__(self, other):
-        return (isinstance(other, RauzyGraph) and self.order == other.order
-                and self.vertices == other.vertices and self.arcs == other.arcs)
-
     def __len__(self):
         return len(self.arcs)
 

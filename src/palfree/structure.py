@@ -5,6 +5,18 @@ The exponent of a uniformly recurrent aperiodic word is 1 + sup |w|/|r|
 over bispecial factors w with shortest return word r.  Enumeration handles
 every bispecial factor up to a cutoff; closed-form length sequences plus
 interval-certified tail bounds dispose of the infinitely many beyond it.
+
+FAMILY_TABLE is the one definition of the four bispecial families A-D of
+p = phi^w(0), phi: 0 -> 01, 1 -> 21, 2 -> 0.  Member n of the family with
+offsets (a, b) has the core
+
+    phi^a(1) phi^(a+2)(1) ... phi^(a+2n)(1) . phi^(b+2n)(0) ... phi^b(0)
+
+(negative powers left out); in nu_p and mu_p it is a (prefix, suffix) wrap
+around the image of the core under OUTER's morphism.  Its shortest return
+word has length s_(2n+r) = |outer(phi^(2n+r)(base))|.  The closed forms,
+the return lengths, the length sequences' seeds and the ratio indices all
+derive from the table.
 """
 
 from __future__ import annotations
@@ -70,14 +82,14 @@ class PeriodicStream(Stream):
         return (self.period_word * reps)[:n]
 
 
+# the named words: the fixed point p of phi and its images under nu and mu
+OUTER = {"p": None, "nu_p": "nu", "mu_p": "mu"}
+
+
 def named_stream(name: str) -> Stream:
-    phi = load_morphism("phi")
-    if name == "p":
-        return MorphicStream("p", phi, "0")
-    if name == "nu_p":
-        return MorphicStream("nu_p", phi, "0", load_morphism("nu"))
-    if name == "mu_p":
-        return MorphicStream("mu_p", phi, "0", load_morphism("mu"))
+    if name in OUTER:
+        outer = None if OUTER[name] is None else load_morphism(OUTER[name])
+        return MorphicStream(name, load_morphism("phi"), "0", outer)
     if set(name) <= set("0123") and name:
         return PeriodicStream(name)
     raise ValueError(f"unknown stream {name!r}")
@@ -111,9 +123,6 @@ class ExtensionProfile:
     @property
     def bispecial(self) -> bool:
         return len(self.left) >= 2 and len(self.right) >= 2
-
-    def key(self):
-        return (self.word, self.left, self.right, self.bi)
 
 
 def _profile_in(text: str, w: str) -> ExtensionProfile:
@@ -270,89 +279,84 @@ def _phi_pow(w: str, k: int) -> str:
     return w
 
 
-def family_bispecial_p(fam: str, n: int) -> str:
-    """Closed forms of the four bispecial families of the ternary fixed
-    point; A and C start the two one-letter/two-letter branches."""
-    if fam == "A":
-        if n == 0:
-            return "1"
-        ones = ["1"] + [_phi_pow("1", 2 * k) for k in range(1, n + 1)]
-        zeros = [_phi_pow("0", 2 * k - 1) for k in range(n, 0, -1)]
-        return "".join(ones + zeros)
-    if fam == "B":
-        ones = [_phi_pow("1", 2 * k + 1) for k in range(0, n + 1)]
-        zeros = [_phi_pow("0", 2 * k) for k in range(n, 0, -1)] + ["0"]
-        return "".join(ones + zeros)
-    if fam == "C":
-        ones = ["1"] + [_phi_pow("1", 2 * k) for k in range(1, n + 1)]
-        zeros = [_phi_pow("0", 2 * k) for k in range(n, 0, -1)] + ["0"]
-        return "".join(ones + zeros)
-    if fam == "D":
-        ones = [_phi_pow("1", 2 * k + 1) for k in range(0, n + 1)]
-        zeros = [_phi_pow("0", 2 * k + 1) for k in range(n, -1, -1)]
-        return "".join(ones + zeros)
-    raise ValueError(f"family must be one of A B C D, not {fam!r}")
+def _image(kind: str, w: str) -> str:
+    """outer(w) for the word of this kind (w itself for p)."""
+    if kind not in OUTER:
+        raise ValueError(f"kind must be p, nu_p or mu_p, not {kind!r}")
+    return w if OUTER[kind] is None else load_morphism(OUTER[kind]).apply(w)
+
+
+@dataclass
+class Family:
+    """One row of FAMILY_TABLE (see the module docstring): the core offsets
+    a, b; the return word's base and power offset r; the (prefix, suffix)
+    wrap per image kind."""
+    a: int
+    b: int
+    base: str
+    r: int
+    wraps: dict[str, tuple[str, str]]
+
+    @property
+    def m0(self) -> int:
+        """The least return power 2n + r >= 0: ratio j is member
+        n = j + (m0 - r) / 2, over the sequence term s_{m0+2j}."""
+        return self.r % 2
+
+
+FAMILY_TABLE = {
+    "A": Family(0, -1, "012", -1, {"nu_p": ("1", "01"), "mu_p": ("", "01")}),
+    "B": Family(1, 0, "012", 0, {"nu_p": ("", "0"), "mu_p": ("011001", "")}),
+    "C": Family(0, 0, "01", 0, {"nu_p": ("1", "0"), "mu_p": ("", "")}),
+    "D": Family(1, 1, "01", 1, {"nu_p": ("", "01"), "mu_p": ("011001", "01")}),
+}
 
 
 def family_bispecial(kind: str, fam: str, n: int) -> str:
-    """Closed-form bispecial words for p and its two binary images."""
-    if kind == "p":
-        return family_bispecial_p(fam, n)
-    core = family_bispecial_p(fam, n)
-    if kind == "nu_p":
-        nu = load_morphism("nu")
-        if fam == "A":
-            return "1" + nu.apply(core) + "01"
-        if fam == "B":
-            return nu.apply(core) + "0"
-        if fam == "C":
-            return "1" + nu.apply(core) + "0"
-        return nu.apply(core) + "01"
-    if kind == "mu_p":
-        mu = load_morphism("mu")
-        if fam == "A":
-            return mu.apply(core) + "01"
-        if fam == "B":
-            return "011001" + mu.apply(core)
-        if fam == "C":
-            return mu.apply(core)
-        return "011001" + mu.apply(core) + "01"
-    raise ValueError(f"kind must be p, nu_p or mu_p, not {kind!r}")
+    """Member n of a bispecial family of p or of one of its images: the wrap
+    around outer(core) of the family's row in FAMILY_TABLE."""
+    if fam not in FAMILY_TABLE:
+        raise ValueError(f"family must be one of A B C D, not {fam!r}")
+    f = FAMILY_TABLE[fam]
+    ones = [_phi_pow("1", f.a + 2 * k) for k in range(n + 1)]
+    zeros = [_phi_pow("0", f.b + 2 * k) for k in range(n, -1, -1) if f.b + 2 * k >= 0]
+    prefix, suffix = f.wraps.get(kind, ("", ""))
+    return prefix + _image(kind, "".join(ones + zeros)) + suffix
+
+
+def family_members(kind: str, max_len: int) -> dict[str, tuple[str, int]]:
+    """Every family word of at most max_len letters -> (family, n).  A word
+    listed in SHORT_BISPECIAL_RATIOS (mu_p's A at n = 0) is left to it."""
+    short = SHORT_BISPECIAL_RATIOS.get(kind, {})
+    members = {}
+    for fam in FAMILY_TABLE:
+        n = 0
+        while len(w := family_bispecial(kind, fam, n)) <= max_len:
+            if w not in short:
+                members[w] = (fam, n)
+            n += 1
+    return members
 
 
 def expected_shortest_return_length(kind: str, fam: str, n: int) -> int:
     """Shortest-return-word lengths implied by the Parikh-equivalent forms:
-    powers of the ternary morphism applied to 012 (families A, B) or 01
-    (families C, D), pushed through the outer morphism for the images.
-    Family A at n = 0 sits outside the closed form."""
+    term 2n + r of the family's length sequence.  Family A at n = 0 sits
+    outside the closed form."""
     if fam == "A" and n == 0:
         if kind == "p":
             return 2
         if kind == "nu_p":
             return 3
         raise ValueError("family A starts at n = 1 for mu_p")
-    word, power = {"A": ("012", 2 * n - 1), "B": ("012", 2 * n),
-                   "C": ("01", 2 * n), "D": ("01", 2 * n + 1)}[fam]
-    w = _phi_pow(word, power)
-    if kind == "p":
-        return len(w)
-    outer = load_morphism("nu" if kind == "nu_p" else "mu")
-    return len(outer.apply(w))
-
-
-# length sequences: |outer(phi^n(base))|
-SEQ_SEEDS = {
-    ("nu_p", "012"): (6, 10, 17),
-    ("nu_p", "01"): (4, 7, 13),
-    ("mu_p", "012"): (11, 21, 36),
-    ("mu_p", "01"): (10, 15, 26),
-    ("p", "012"): (3, 5, 8),
-    ("p", "01"): (2, 4, 7),
-}
+    f = FAMILY_TABLE[fam]
+    return length_sequence(kind, f.base, 2 * n + f.r)[2 * n + f.r]
 
 
 def length_sequence(kind: str, base: str, upto: int) -> list[int]:
-    s = list(SEQ_SEEDS[(kind, base)])
+    """s_m = |outer(phi^m(base))| for m = 0..max(upto, 2): the first three
+    terms by applying the morphisms, the rest by the recurrence
+    s_{m+1} = 2 s_m - s_{m-1} + s_{m-2} of phi's characteristic polynomial."""
+    s = [len(_image(kind, _phi_pow(base, m))) for m in range(3)]
     while len(s) <= upto:
         s.append(2 * s[-1] - s[-2] + s[-3])
     return s
@@ -360,24 +364,22 @@ def length_sequence(kind: str, base: str, upto: int) -> list[int]:
 
 @dataclass
 class FamilySpec:
-    seq_base: str   # "012" or "01"
     const: int      # additive constant in the numerator
-    m0: int         # first sequence index (parity): ratios use s_{m0+2j}
     extra: tuple[tuple[str, Fraction], ...] = ()  # base cases outside the form
 
 
 FAMILIES = {
     "nu_p": {
-        "A": FamilySpec("012", 4, 1, (("1001", Fraction(4, 3)),)),
-        "B": FamilySpec("012", 1, 0),
-        "C": FamilySpec("01", 2, 0),
-        "D": FamilySpec("01", 2, 1),
+        "A": FamilySpec(4, (("1001", Fraction(4, 3)),)),
+        "B": FamilySpec(1),
+        "C": FamilySpec(2),
+        "D": FamilySpec(2),
     },
     "mu_p": {
-        "A": FamilySpec("012", 6, 1),
-        "B": FamilySpec("012", 6, 0),
-        "C": FamilySpec("01", 0, 0),
-        "D": FamilySpec("01", 8, 1),
+        "A": FamilySpec(6),
+        "B": FamilySpec(6),
+        "C": FamilySpec(0),
+        "D": FamilySpec(8),
     },
 }
 
@@ -396,12 +398,12 @@ SHORT_BISPECIAL_RATIOS = {
 
 def exact_family_ratios(kind: str, fam: str, N: int) -> list[Fraction]:
     """|v^(j)| / |shortest return|, exactly, for j = 0..N-1."""
-    spec = FAMILIES[kind][fam]
-    seq = length_sequence(kind, spec.seq_base, spec.m0 + 2 * N)
+    m0 = FAMILY_TABLE[fam].m0
+    seq = length_sequence(kind, FAMILY_TABLE[fam].base, m0 + 2 * N)
     out = []
-    total = spec.const
+    total = FAMILIES[kind][fam].const
     for j in range(N):
-        idx = spec.m0 + 2 * j
+        idx = m0 + 2 * j
         total += seq[idx]
         out.append(Fraction(total, seq[idx]))
     return out
@@ -426,10 +428,11 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
     where C0 collects the constant and oscillating parts; the right side
     grows with j, so checking j = n0 settles every larger j.
     """
-    spec = FAMILIES[kind][fam]
+    const = FAMILIES[kind][fam].const
+    m0 = FAMILY_TABLE[fam].m0
     T = TARGET_RATIO[kind]
     tn, td = T.numerator, T.denominator
-    consts = solve_sequence(SEQ_SEEDS[(kind, spec.seq_base)], width)
+    consts = solve_sequence(tuple(length_sequence(kind, FAMILY_TABLE[fam].base, 2)), width)
     beta, A, B = consts.beta, consts.A, consts.B
     b2 = beta * beta
     lam = consts.lam()
@@ -448,13 +451,13 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
         return out
 
     for n0 in range(1, 9):
-        lam_m0 = pw(lam_abs, spec.m0)
+        lam_m0 = pw(lam_abs, m0)
         lam_2n0 = pw(lam_abs, 2 * n0)
-        lhs = (td * spec.const
-               - td * A * pw(beta, spec.m0) / (b2 - 1)
+        lhs = (td * const
+               - td * A * pw(beta, m0) / (b2 - 1)
                + 2 * td * Babs * lam_m0 * (1 + lam_2n0) / abs_1ml2
                + 2 * (tn - td) * Babs * lam_m0 * lam_2n0)
-        rhs = A * pw(beta, spec.m0 + 2 * n0) * coeff
+        rhs = A * pw(beta, m0 + 2 * n0) * coeff
         if lhs.certainly_leq(rhs):
             return TailBound(fam, n0, True, repr(coeff), repr(lhs), repr(rhs),
                              float(max(lhs.width, rhs.width)))
@@ -527,10 +530,10 @@ def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
 def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
     """Assemble the exact critical exponent of one of the two binary images
     from the family analysis, cross-checked against enumeration."""
-    if kind not in ("nu_p", "mu_p"):
+    if kind not in FAMILIES:
         raise ValueError("structural exponent is computed for nu_p and mu_p")
     reports = {fam: family_ratio_analysis(kind, fam, N)
-               for fam in ("A", "B", "C", "D", "F")}
+               for fam in [*FAMILY_TABLE, "F"]}
     if not all(r.bounded_by_target for r in reports.values()):
         bad = [f for f, r in reports.items() if not r.bounded_by_target]
         raise ArithmeticError(f"tail bounds undecided for families {bad}")
@@ -538,10 +541,8 @@ def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
     best_fam = min(f for f, r in reports.items() if r.sup == sup)
     rep = reports[best_fam]
     if isinstance(rep.sup_index, int):
-        # ratio index j maps to family index n = j (n = j + 1 for family A,
-        # whose closed form starts at n = 1)
-        n = rep.sup_index + (1 if best_fam == "A" else 0)
-        witness = family_bispecial(kind, best_fam, n)
+        f = FAMILY_TABLE[best_fam]
+        witness = family_bispecial(kind, best_fam, rep.sup_index + (f.m0 - f.r) // 2)
     else:
         witness = rep.sup_index
     stream = named_stream(kind)
@@ -557,7 +558,7 @@ def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
 def asymptotic_exponent(kind: str, width=Fraction(1, 10 ** 12)) -> Interval:
     """1 + b^2/(b^2-1) for the Perron root b; the three words share it
     (the images are injective-morphic with synchronization points)."""
-    if kind not in ("p", "nu_p", "mu_p"):
+    if kind not in OUTER:
         raise ValueError("asymptotic exponent known for p, nu_p, mu_p only")
     return cubic.asymptotic_exponent_value(width)
 
@@ -583,10 +584,8 @@ def paper_display_checks(width=Fraction(1, 10 ** 13)) -> dict[str, bool]:
     in interval arithmetic (historical record; the uniform tail_bound above
     is what the verdicts rest on).  One display (mu families, D) is known
     not to hold numerically even though its family is bounded."""
-    c1 = solve_sequence((6, 10, 17), width)
-    c2 = solve_sequence((4, 7, 13), width)
-    c3 = solve_sequence((11, 21, 36), width)
-    c4 = solve_sequence((10, 15, 26), width)
+    c1, c2, c3, c4 = (solve_sequence(tuple(length_sequence(kind, base, 2)), width)
+                      for kind in ("nu_p", "mu_p") for base in ("012", "01"))
     beta = c1.beta
     b2 = beta * beta
     lam = c1.lam()

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -117,8 +118,25 @@ def test_splice_cli():
 
 
 def test_preimage_cli_family_mismatch():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError):
         run("preimage-prove --morphism mu --family F20")
+
+
+@pytest.mark.parametrize("command", [
+    "palindromes --word ''",
+    "structure --word ''",
+    "exponent --word 001011 --method closed-form",
+    "exponent --word 001011 --method bispecial",
+    "preimage-prove --morphism mu --family F20",
+])
+def test_refused_input_exits_2_with_one_line(command, capsys):
+    """Input that parses but that the builder refuses exits 2, the code
+    that never means "some check failed", with a message and no traceback."""
+    argv = shlex.split(command)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"palfree {argv[0]}: error: "), err
 
 
 def test_cert_out_file(tmp_path):
@@ -261,6 +279,24 @@ def test_reference_certificates_render_their_command_lines(monkeypatch):
     for path in paths:
         command = read_certificate(path).command
         assert _canonical(command) == command, path.name
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer wraps exists where it looks for it:
+    a function in its palfree module, a method in its class's own dict."""
+    path = REFERENCE_DIR.parent / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.TRACED.items():
+        mod = importlib.import_module(f"palfree.{layer}")
+        for attr in names:
+            owner, _, name = attr.rpartition(".")
+            scope = vars(getattr(mod, owner)) if owner else vars(mod)
+            if name not in scope:
+                missing.append(f"{layer}.{attr}")
+    assert not missing
 
 
 def test_node_budget_from_environment_is_rendered(monkeypatch):

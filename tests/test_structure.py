@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from palfree.morphisms import load_morphism
-from palfree.structure import (FAMILIES, SEQ_SEEDS, TARGET_RATIO,
+from palfree.structure import (FAMILIES, TARGET_RATIO,
                                bispecial_enumerate, critical_exponent_via_bispecials,
                                exact_family_ratios, expected_shortest_return_length,
                                extension_profile, factor_complexity,
@@ -157,20 +157,21 @@ def test_family_words_match_seed_lengths():
     nu = load_morphism("nu")
     mu = load_morphism("mu")
     phi = load_morphism("phi")
-    for kind, outer in (("nu_p", nu), ("mu_p", mu)):
+    for kind, outer in (("p", None), ("nu_p", nu), ("mu_p", mu)):
         for base in ("012", "01"):
             w = base
             for n in range(8):
-                assert len(outer.apply(w)) == length_sequence(kind, base, 8)[n]
+                image = w if outer is None else outer.apply(w)
+                assert len(image) == length_sequence(kind, base, 8)[n], (kind, base, n)
                 w = phi.apply(w)
 
 
 def test_length_sequences_satisfy_recurrence():
-    for (kind, base), seeds in SEQ_SEEDS.items():
-        seq = length_sequence(kind, base, 20)
-        assert tuple(seq[:3]) == seeds
-        for n in range(3, 21):
-            assert seq[n] == 2 * seq[n - 1] - seq[n - 2] + seq[n - 3]
+    for kind in ("p", "nu_p", "mu_p"):
+        for base in ("012", "01"):
+            seq = length_sequence(kind, base, 20)
+            for n in range(3, 21):
+                assert seq[n] == 2 * seq[n - 1] - seq[n - 2] + seq[n - 3]
 
 
 def test_exact_family_ratios_examples():
@@ -179,6 +180,19 @@ def test_exact_family_ratios_examples():
     assert exact_family_ratios("mu_p", "B", 1)[0] == F(17, 11)
     assert exact_family_ratios("nu_p", "C", 1)[0] == F(3, 2)
     assert exact_family_ratios("mu_p", "D", 1)[0] == F(23, 15)
+
+
+def test_exact_family_ratios_match_closed_forms():
+    """Each exact ratio is |member| / shortest return length of the member
+    it stands for, so the numerator constants agree with the closed forms."""
+    for kind in ("nu_p", "mu_p"):
+        for fam in "ABCD":
+            first = 1 if fam == "A" else 0  # A's closed-form return starts at n = 1
+            for j, ratio in enumerate(exact_family_ratios(kind, fam, 5)):
+                n = j + first
+                want = F(len(family_bispecial(kind, fam, n)),
+                         expected_shortest_return_length(kind, fam, n))
+                assert ratio == want, (kind, fam, n)
 
 
 def test_family_ratio_analysis_bounded():

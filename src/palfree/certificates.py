@@ -87,7 +87,8 @@ def parse_certificate(text: str) -> Certificate:
     schema = int(lines[0].split()[-1])
     if schema != SCHEMA:
         raise ValueError(f"unsupported certificate schema {schema}")
-    if not lines[1].startswith("command: ") or not lines[2].startswith("outcome: "):
+    if (len(lines) < 3 or not lines[1].startswith("command: ")
+            or not lines[2].startswith("outcome: ")):
         raise ValueError("malformed certificate header")
     cert = Certificate(lines[1][len("command: "):],
                        lines[2][len("outcome: "):], schema=schema)

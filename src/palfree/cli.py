@@ -727,9 +727,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.cmd == "verify-all":
         return cmd_verify_all(args)
+    try:
+        if args.cmd == "replay":
+            old = read_certificate(args.file)
+            new = run_command(shlex.split(old.command))
+        else:
+            cert = _dispatch(args)
+    except ValueError as exc:  # input a builder refuses, SymmetryError included
+        print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
+        return 2
     if args.cmd == "replay":
-        old = read_certificate(args.file)
-        new = run_command(shlex.split(old.command))
         report = compare_certificates(old, new)
         if report.matched:
             print(f"replay ok: {old.command}")
@@ -738,11 +745,6 @@ def main(argv=None) -> int:
         for d in report.differences:
             print("  " + d)
         return 1
-    try:
-        cert = _dispatch(args)
-    except ValueError as exc:  # input a builder refuses, SymmetryError included
-        print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
-        return 2
     if args.out:
         cert.write(args.out)
     sys.stdout.write(cert.render())

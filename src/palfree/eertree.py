@@ -2,81 +2,89 @@
 
 Each push appends one letter and creates at most one node (the longest new
 palindromic suffix); pop reverses exactly one push.  Node 0 is the imaginary
-root of length -1, node 1 the empty word.
+root of length -1, node 1 the empty word.  See Rubinchik and Shur, "EERTREE:
+an efficient data structure for processing palindromes in strings" (Eur. J.
+Comb. 2018).
 """
 
 from __future__ import annotations
 
 
 class Eertree:
+    """The undo log holds one int per push, the longest palindromic suffix
+    before it.  Nodes are created in push order and each ends at the
+    position of the push that made it, so the newest node was made by the
+    push being undone exactly when it ends at the popped position; pop then
+    deletes it and the edge from its parent."""
 
-    __slots__ = ("s", "lens", "link", "to", "start", "last", "trail")
+    __slots__ = ("s", "lens", "link", "to", "end", "parent", "last", "trail")
 
     def __init__(self):
-        self.s: list[str] = []
+        # s[0] is a sentinel equal to no letter, so the suffix-link walks need
+        # no bounds test; letter i of the word is s[i + 1]
+        self.s: list[str] = [""]
         self.lens = [-1, 0]
         self.link = [0, 0]
-        self.to: list[dict] = [dict(), dict()]
-        self.start = [0, 0]
+        self.to: list[dict] = [{}, {}]
+        self.end = [-1, -1]  # index in s of the node's first occurrence's last letter
+        self.parent = [0, 0]
         self.last = 1
-        self.trail: list[tuple] = []
-
-    def _suffix_pal(self, v: int, i: int) -> int:
-        s, lens, link = self.s, self.lens, self.link
-        while True:
-            j = i - lens[v] - 1
-            if j >= 0 and s[j] == s[i]:
-                return v
-            v = link[v]
+        self.trail: list[int] = []
 
     def push(self, c: str) -> int | None:
         """Append letter c; return the new node id, or None if the longest
         palindromic suffix was already known."""
-        self.s.append(c)
-        i = len(self.s) - 1
-        v = self._suffix_pal(self.last, i)
-        nxt = self.to[v].get(c)
-        if nxt is not None:
-            self.trail.append((self.last, None))
-            self.last = nxt
+        s, lens, link = self.s, self.lens, self.link
+        i = len(s)
+        s.append(c)
+        v = self.last
+        self.trail.append(v)
+        while s[i - lens[v] - 1] != c:
+            v = link[v]
+        to_v = self.to[v]
+        node = to_v.get(c)
+        if node is not None:
+            self.last = node
             return None
-        newlen = self.lens[v] + 2
-        if newlen == 1:
-            lnk = 1
+        if v:
+            u = link[v]
+            while s[i - lens[u] - 1] != c:
+                u = link[u]
+            lnk = self.to[u][c]
         else:
-            lnk = self.to[self._suffix_pal(self.link[v], i)][c]
-        node = len(self.lens)
-        self.lens.append(newlen)
-        self.link.append(lnk)
-        self.to.append(dict())
-        self.start.append(i - newlen + 1)
-        self.to[v][c] = node
-        self.trail.append((self.last, (v, c)))
-        self.last = node
+            lnk = 1  # a single letter's longest proper palindromic suffix is empty
+        node = self.last = to_v[c] = len(lens)
+        lens.append(lens[v] + 2)
+        link.append(lnk)
+        self.to.append({})
+        self.end.append(i)
+        self.parent.append(v)
         return node
 
     def pop(self) -> None:
-        prev_last, created = self.trail.pop()
-        if created is not None:
-            v, c = created
-            del self.to[v][c]
+        s = self.s
+        i = len(s) - 1
+        node = len(self.lens) - 1
+        if self.end[node] == i:
+            del self.to[self.parent[node]][s[i]]
             self.lens.pop()
             self.link.pop()
             self.to.pop()
-            self.start.pop()
-        self.last = prev_last
-        self.s.pop()
+            self.end.pop()
+            self.parent.pop()
+        self.last = self.trail.pop()
+        s.pop()
 
     def count(self) -> int:
         """Distinct non-empty palindromic factors of the current word."""
         return len(self.lens) - 2
 
     def node_word(self, node: int) -> str:
-        st = self.start[node]
-        return "".join(self.s[st:st + self.lens[node]])
+        end = self.end[node] + 1
+        return "".join(self.s[end - self.lens[node]:end])
 
     def alive_words(self) -> list[str]:
         return [self.node_word(v) for v in range(2, len(self.lens))]
 
     def __len__(self) -> int:
-        return len(self.s)
+        return len(self.s) - 1

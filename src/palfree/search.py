@@ -67,51 +67,75 @@ def _require_invariant(c: SearchConstraints) -> None:
                             f"{','.join(c.forbidden_factors)} are not")
 
 
-class ConstraintState:
-    """Push/pop state for all constraint kinds at once.
+class _Letters:
+    """The str buffer of IncrementalFreeChecker without its exponent test:
+    buf[:n] is the word, for forbidden factors without an exponent bound."""
 
-    Forbidden factors are tested with str.endswith on a str buffer as in
-    IncrementalFreeChecker: the checker's own when there is an exponent
-    bound, so the letters are kept once, and otherwise buf[:n] of this
-    object, kept only when there are forbidden factors.  The callers keep
-    the words they walk."""
+    __slots__ = ("buf", "n")
 
-    def __init__(self, c: SearchConstraints):
-        self.c = c
-        self.free = IncrementalFreeChecker(c.exponent) if c.exponent else None
-        self.tree = Eertree() if c.palindrome_budget is not None else None
-        self.pal_limit = (c.palindrome_budget - 1) if c.palindrome_budget is not None else None
-        self.forbidden = tuple(c.forbidden_factors)
+    def __init__(self):
         self.buf = ""
         self.n = 0
 
-    def push(self, ch: str) -> bool:
-        """Append ch; False when the extension violates a constraint.
-        The letter stays pushed either way; always pair with pop()."""
-        ok = True
-        if self.free is not None:
-            ok = self.free.push(ch)
-        elif self.forbidden:
-            n = self.n
-            if n == len(self.buf) or self.buf[n] != ch:
-                self.buf = self.buf[:n] + ch
-            self.n = n + 1
-        if self.tree is not None:
-            self.tree.push(ch)
-            if ok and self.tree.count() > self.pal_limit:
-                ok = False
-        if ok and self.forbidden:
-            text = self if self.free is None else self.free
-            ok = not text.buf.endswith(self.forbidden, 0, text.n)
-        return ok
+    def push(self, c: str) -> bool:
+        n = self.n
+        buf = self.buf
+        if n == len(buf) or buf[n] != c:
+            self.buf = buf[:n] + c
+        self.n = n + 1
+        return True
 
     def pop(self) -> None:
-        if self.free is not None:
-            self.free.pop()
-        elif self.forbidden:
-            self.n -= 1
-        if self.tree is not None:
-            self.tree.pop()
+        self.n -= 1
+
+
+class ConstraintState:
+    """Push/pop state for all constraint kinds at once.
+
+    A push runs the layers cheapest first and stops at the first that
+    refuses the letter: the palindrome budget (an Eertree), then the
+    exponent bound (an IncrementalFreeChecker), then the forbidden factors,
+    tested with str.endswith on text, the checker or, without an exponent
+    bound, a bare letter buffer.  A letter the budget refuses never reaches
+    text, so pop undoes text only when text is as long as the eertree; a
+    refused push must therefore be popped before the next push, as Walk
+    does.  The callers keep the words they walk."""
+
+    def __init__(self, c: SearchConstraints):
+        self.c = c
+        budget = c.palindrome_budget
+        self.tree = Eertree() if budget is not None else None
+        # Eertree nodes allowed: both roots plus budget - 1 non-empty palindromes
+        self.node_limit = budget + 1 if budget is not None else None
+        self.forbidden = tuple(c.forbidden_factors)
+        if c.exponent:
+            self.text = IncrementalFreeChecker(c.exponent)
+        else:
+            self.text = _Letters() if self.forbidden else None
+
+    def push(self, ch: str) -> bool:
+        """Append ch; False when the extension violates a constraint.
+        Always pair with pop(), before the next push when refused."""
+        tree = self.tree
+        if tree is not None:
+            tree.push(ch)
+            if len(tree.lens) > self.node_limit:
+                return False
+        text = self.text
+        if text is None:
+            return True
+        if not text.push(ch):
+            return False
+        forbidden = self.forbidden
+        return not (forbidden and text.buf.endswith(forbidden, 0, text.n))
+
+    def pop(self) -> None:
+        tree, text = self.tree, self.text
+        # the eertree logs one undo entry per letter it holds
+        if text is not None and (tree is None or text.n == len(tree.trail)):
+            text.pop()
+        if tree is not None:
+            tree.pop()
 
 
 @dataclass
@@ -189,16 +213,17 @@ class Walk:
         return None
 
     def _rec(self, prefix: str) -> list[str] | None:
-        state, letters, budget = self.state, self.letters, self.node_budget
+        push, pop, visit = self.state.push, self.state.pop, self.visit
+        letters, budget = self.letters, self.node_budget
         deeper = len(prefix) + 1 < self.depth
         for i, ch in enumerate(letters):
             if budget is not None and self.nodes >= budget:
                 return [prefix + c for c in letters[i:]]
             self.nodes += 1
             try:
-                if state.push(ch):
+                if push(ch):
                     word = prefix + ch
-                    if self.visit(word):
+                    if visit(word):
                         self.stopped = True
                         return None
                     if deeper:
@@ -208,7 +233,7 @@ class Walk:
                         if self.stopped:
                             return None
             finally:
-                state.pop()
+                pop()
         return None
 
 

@@ -21,13 +21,12 @@ derive from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cubic
 from .cubic import CubicConstants, Interval, as_complex, solve_sequence
 from .morphisms import Morphism, load_morphism
-from .words import ALPHABETS
 
 DEFAULT_PREFIX = 20000
 PREFIX_CAP = 10 ** 7
@@ -279,10 +278,14 @@ def _phi_pow(w: str, k: int) -> str:
     return w
 
 
-def _image(kind: str, w: str) -> str:
-    """outer(w) for the word of this kind (w itself for p)."""
+def _check_kind(kind: str) -> None:
     if kind not in OUTER:
         raise ValueError(f"kind must be p, nu_p or mu_p, not {kind!r}")
+
+
+def _image(kind: str, w: str) -> str:
+    """outer(w) for the word of this kind (w itself for p)."""
+    _check_kind(kind)
     return w if OUTER[kind] is None else load_morphism(OUTER[kind]).apply(w)
 
 
@@ -342,6 +345,7 @@ def expected_shortest_return_length(kind: str, fam: str, n: int) -> int:
     """Shortest-return-word lengths implied by the Parikh-equivalent forms:
     term 2n + r of the family's length sequence.  Family A at n = 0 sits
     outside the closed form."""
+    _check_kind(kind)
     if fam == "A" and n == 0:
         if kind == "p":
             return 2

@@ -139,6 +139,21 @@ def test_refused_input_exits_2_with_one_line(command, capsys):
     assert err.count("\n") == 1 and err.startswith(f"palfree {argv[0]}: error: "), err
 
 
+@pytest.mark.parametrize("text", [
+    "palfree certificate 1\ncommand: exponent --word 001011 --method bispecial\n"
+    "outcome: pass\n[evidence]\n",
+    "not a certificate\n",
+    "palfree certificate 1\n",
+], ids=["refused-command", "not-a-certificate", "header-only"])
+def test_replay_of_refused_input_exits_2_with_one_line(text, tmp_path, capsys):
+    path = tmp_path / "input.cert"
+    path.write_text(text)
+    assert main(["replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("palfree replay: error: "), err
+
+
 def test_cert_out_file(tmp_path):
     path = tmp_path / "out.cert"
     code = main(["palindromes", "--word", "001011", "--prefix", "20000",
@@ -279,6 +294,18 @@ def test_reference_certificates_render_their_command_lines(monkeypatch):
     for path in paths:
         command = read_certificate(path).command
         assert _canonical(command) == command, path.name
+
+
+@pytest.mark.parametrize("name", [
+    "table1-p10-b10_3", "table1-p14-b8_3", "table1-p17-b13_5", "table1-p17-b28_11",
+    "optimality-pal8", "optimality-cubefree14",
+])
+def test_search_node_counts_match_reference_certificates(name, monkeypatch):
+    """The cheap node-counting reference certificates of the benchmark
+    rerun to the same evidence, so the walk still visits the same nodes."""
+    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+    want = read_certificate(REFERENCE_DIR / f"{name}.cert")
+    assert run(want.command).comparable() == want.comparable()
 
 
 def test_traced_names_resolve():

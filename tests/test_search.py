@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _first_violation_scan
+from conftest import _first_violation_scan, palindrome_set_scan
 from palfree.morphisms import load_morphism
 from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
-                            TERNARY_FORBIDDEN, BudgetExceeded,
+                            TERNARY_FORBIDDEN, BudgetExceeded, ConstraintState,
                             ExhaustionCertificate, Inconclusive, Reached,
                             SearchConstraints, SymmetryError, count_words,
                             estimate_growth, extendable_middles,
@@ -102,6 +102,44 @@ def test_count_words_matches_brute_force(size, spec, budget, forbidden, n):
                 want[k] += 1
     c = SearchConstraints(size, bound, budget, forbidden)
     assert count_words(c, n, symmetry=False) == want
+
+
+@pytest.mark.parametrize("use_bound", [False, True])
+@pytest.mark.parametrize("use_budget", [False, True])
+@pytest.mark.parametrize("use_forbidden", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(2, 3),
+       spec=st.sampled_from(["3/2", "7/4", "2", "2+", "7/3+", "3"]),
+       budget=st.integers(1, 12),
+       forbidden=st.lists(st.text(alphabet="012", min_size=2, max_size=4),
+                          min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=80))
+def test_constraint_state_matches_definitions(use_bound, use_budget, use_forbidden,
+                                              size, spec, budget, forbidden, steps):
+    """Every verdict of a random push/pop sequence equals the definitions on
+    the live word; a refused letter is popped before the next push, as in
+    Walk."""
+    letters = ALPHABETS[size]
+    bound = ExponentBound.parse(spec) if use_bound else None
+    budget = budget if use_budget else None
+    forbidden = tuple(f for f in forbidden if set(f) <= set(letters)) if use_forbidden else ()
+    state = ConstraintState(SearchConstraints(size, bound, budget, forbidden))
+    word = ""
+    for grow, k in steps:
+        if word and not grow:
+            state.pop()
+            word = word[:-1]
+            continue
+        ch = letters[k % size]
+        longer = word + ch
+        want = ((bound is None or _first_violation_scan(longer, bound) is None)
+                and (budget is None or len(palindrome_set_scan(longer)) <= budget)
+                and not any(f in longer for f in forbidden))
+        assert state.push(ch) == want, (word, ch)
+        if want:
+            word = longer
+        else:
+            state.pop()
 
 
 def test_count_words_monotone_under_tightening():

@@ -274,6 +274,12 @@ def test_shortest_return_lengths_match_parikh_forms(p_stream, nu_stream, mu_stre
                     (kind, fam, n)
 
 
+@pytest.mark.parametrize("fam, n", [("A", 0), ("A", 1), ("B", 0)])
+def test_shortest_return_length_rejects_unknown_kind(fam, n):
+    with pytest.raises(ValueError, match="kind must be p, nu_p or mu_p"):
+        expected_shortest_return_length("xyz", fam, n)
+
+
 def test_asymptotic_exponent_shared():
     vals = [asymptotic_exponent(k) for k in ("p", "nu_p", "mu_p")]
     assert all(abs(v.mid - vals[0].mid) == 0 for v in vals)

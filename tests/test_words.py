@@ -85,20 +85,30 @@ def test_complement_requires_binary():
 
 
 def test_eertree_undo_random():
-    rng = random.Random(99)
-    tree = Eertree()
-    stack = []
-    for step in range(4000):
-        if stack and rng.random() < 0.45:
-            tree.pop()
-            stack.pop()
-        else:
-            c = rng.choice("01")
-            tree.push(c)
-            stack.append(c)
-        if step % 400 == 0:
-            w = "".join(stack)
-            assert sorted(tree.alive_words()) == sorted(palindrome_set_scan(w) - {""})
+    """Random push/pop walks agree with the definitional scan after every
+    step, including pops made straight after a push that created a node."""
+    for letters in ("01", "012"):
+        rng = random.Random(99)
+        tree = Eertree()
+        stack = []
+        undone_nodes = 0
+        for _ in range(3000):
+            if stack and rng.random() < 0.45:
+                tree.pop()
+                stack.pop()
+            else:
+                c = rng.choice(letters)
+                created = tree.push(c)
+                stack.append(c)
+                if created is not None and rng.random() < 0.25:
+                    tree.pop()
+                    stack.pop()
+                    undone_nodes += 1
+            pals = palindrome_set_scan("".join(stack)) - {""}
+            assert len(tree) == len(stack)
+            assert tree.count() == len(pals)
+            assert sorted(tree.alive_words()) == sorted(pals)
+        assert undone_nodes > 100
 
 
 def test_factor_set_wrapper(p_word):

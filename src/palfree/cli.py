@@ -729,7 +729,10 @@ def main(argv=None) -> int:
         return cmd_verify_all(args)
     try:
         if args.cmd == "replay":
-            old = read_certificate(args.file)
+            try:
+                old = read_certificate(args.file)
+            except OSError as exc:  # a missing path or a directory
+                raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
             new = run_command(shlex.split(old.command))
         else:
             cert = _dispatch(args)

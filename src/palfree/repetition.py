@@ -121,11 +121,13 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
     """None when w satisfies the bound; otherwise the first violation in
     leftmost-end-then-shortest order.
 
-    Bounds >= 2 take the earliest-ending violation among the runs of
-    runs.violations.  Runs cannot see exponents below 2, so lower bounds feed
-    w to an IncrementalFreeChecker: its first refused letter is the leftmost
-    violating end, and there the smallest fitting period gives the shortest
-    violation, because min_violating_length(p) does not decrease in p.
+    Bounds >= 2 take the earliest-ending violation among runs.violations,
+    a runs scan whose blocks grow with the bound.  Below 2 violating
+    stretches are far more numerous than runs, so lower bounds feed w to an
+    IncrementalFreeChecker, which stops at the first violation: its first
+    refused letter is the leftmost violating end, and there the smallest
+    fitting period gives the shortest violation, because
+    min_violating_length(p) does not decrease in p.
     """
     need = bound.min_violating_length
     if bound.threshold >= 2:

@@ -1,24 +1,35 @@
-"""Runs (maximal stretches of exponent >= 2) by banded block sampling.
+"""Runs (maximal stretches) by banded block sampling, sized by the bound.
 
 A stretch is a triple (length, period, start): a factor of that length all
 of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
-iter_runs yields every stretch with length >= 2*period exactly once;
-stretches of exponent < 2 are never reported, so callers treat a maximum
-below 2 as "no run": repetition.critical_exponent then scans the word
-quadratically, and repetition.is_free uses the incremental checker for
-bounds below 2.
+iter_runs(w, min_period, need) yields every stretch with length >=
+need(period) exactly once; need defaults to 2*period, so stretches of
+exponent < 2 are not reported and callers treat a maximum below 2 as "no
+run": repetition.critical_exponent then scans the word quadratically, and
+repetition.is_free uses the incremental checker for bounds below 2.
 
-Periods are scanned in bands [P, 2P) with blocks w[i:i+h], h = max(1, P//2),
-at every multiple i of h.  A run of length L >= 2p and period p in the band,
-starting at s, holds both w[i:i+h] and its copy w[i+p:i+p+h] for every i in
-[s, s + L - p - h]: at least p - h + 1 > h positions, so one of them is a
-multiple of h.  One str.find of each block over the window p in [P, 2P)
-yields every candidate period; a candidate whose block pair lies inside the
-last stretch found at that period belongs to it and is skipped, and any
-other is extended to its stretch by two longest-common-extension queries
-(galloping slice comparisons, backwards ones on the reversed word).  This is
-the line of Kolpakov and Kucherov (FOCS 1999); see also Bannai et al., "The
-'Runs' Theorem", SIAM J. Comput. 2017.
+Periods are scanned in bands [P, 2P), with blocks w[i:i+h] at every multiple
+i of h.  The block length comes from the bound: with lo = max(P, min_period),
+h = max(1, (need(lo) - lo + 1) // 2).  A run of period p in the band that
+starts at s and holds L >= need(p) letters holds both w[i:i+h] and its copy
+w[i+p:i+p+h] for every i in [s, s + L - p - h]: at least need(p) - p - h + 1
+positions, which is at least h because need(p) - p does not decrease in p,
+so one of them is a multiple of h.  For need = 2p that is the classical
+h = P/2; for the bounds 5/2 and 28/11 the blocks are about 1.5 times longer,
+so far fewer candidates are extended.  One str.find of each block over the
+window p in [lo, 2P) yields every candidate period; a candidate whose block
+pair lies inside the last stretch found at that period belongs to it and is
+skipped, and any other is extended to its stretch by two
+longest-common-extension queries (galloping slice comparisons, backwards
+ones on the reversed word).
+
+The bands run from the longest periods down, and need is read again at each
+band and at each candidate, so a caller may raise it while the scan runs:
+max_stretch_ratio asks only for stretches at least as good as the best found
+so far, and the long-period bands, scanned first, set a high bar early.
+This is the line of Kolpakov and Kucherov (FOCS 1999); see also Crochemore
+and Ilie, "Maximal repetitions in strings", JCSS 74 (2008), and Bannai et
+al., "The 'Runs' Theorem", SIAM J. Comput. 2017.
 """
 
 from __future__ import annotations
@@ -40,21 +51,36 @@ def _lce(s: str, a: int, b: int) -> int:
     return k
 
 
-def iter_runs(w: str, min_period: int = 1):
+def _square(p: int) -> int:
+    return 2 * p
+
+
+def iter_runs(w: str, min_period: int = 1, need=None):
     """Yield (length, period, start) for every maximal stretch with
-    period >= min_period and length >= 2*period, each once."""
+    period >= min_period and length >= need(period), each once.  need
+    defaults to 2*period; need(p) - p must be at least 1 and must not
+    decrease in p, and may rise between yields."""
+    if need is None:
+        need = _square
     n = len(w)
     rev = w[::-1]
     find = w.find
+    bands = []
     P = 1 << (min_period.bit_length() - 1)
-    while 2 * max(P, min_period) <= n:
-        h = P // 2 or 1
+    while need(max(P, min_period)) <= n:
+        bands.append(P)
+        P += P
+    for P in reversed(bands):
         lo = max(P, min_period)
+        m = need(lo)
+        if m > n:
+            continue
+        h = max(1, (m - lo + 1) // 2)
         span = 2 * P - 1 + h
         last = [0] * P  # last[p - P]: end of the last stretch found at period p
         for i in range(0, n - lo - h + 1, h):
             block = w[i:i + h]
-            end = min(i + span, n)
+            end = i + span  # str.find clips it to n
             j = find(block, i + lo, end)
             while j >= 0:
                 p = j - i
@@ -67,10 +93,9 @@ def iter_runs(w: str, min_period: int = 1):
                     if stop < n and w[stop] == w[i + h]:
                         stop += _lce(w, i + h, stop)
                     last[p - P] = stop
-                    if stop - st >= 2 * p:
+                    if stop - st >= need(p):
                         yield stop - st, p, st
                 j = find(block, j + 1, end)
-        P += P
 
 
 def max_stretch_ratio(w: str, min_period: int = 1):
@@ -79,7 +104,12 @@ def max_stretch_ratio(w: str, min_period: int = 1):
     then the shortest period; exact whenever that maximum is >= 2, and
     (1, min_period, 0) when there is no run."""
     bl, bp, bs = 1, min_period, 0
-    for ln, p, st in iter_runs(w, min_period):
+
+    def need(p):
+        # a square at least, and no shorter than a tie with the best so far
+        return max(2 * p, -(-p * bl // bp))
+
+    for ln, p, st in iter_runs(w, min_period, need):
         a, b = ln * bp, bl * p
         if a > b or (a == b and (st, p) < (bs, bp)):
             bl, bp, bs = ln, p, st
@@ -88,6 +118,6 @@ def max_stretch_ratio(w: str, min_period: int = 1):
 
 def violations(w: str, need):
     """All maximal stretches (length, period, start) with
-    length >= need(period), for need an ExponentBound's min_violating_length.
-    Complete whenever the bound is >= 2."""
-    return [r for r in iter_runs(w) if r[0] >= need(r[1])]
+    length >= need(period), for need an ExponentBound's min_violating_length,
+    found by blocks sized by that bound."""
+    return list(iter_runs(w, 1, need))

@@ -154,6 +154,14 @@ def test_replay_of_refused_input_exits_2_with_one_line(text, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("palfree replay: error: "), err
 
 
+@pytest.mark.parametrize("name", ["missing.cert", "."], ids=["missing", "directory"])
+def test_replay_of_unreadable_path_exits_2_with_one_line(name, tmp_path, capsys):
+    assert main(["replay", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("palfree replay: error: "), err
+
+
 def test_cert_out_file(tmp_path):
     path = tmp_path / "out.cert"
     code = main(["palindromes", "--word", "001011", "--prefix", "20000",

@@ -11,6 +11,7 @@ from palfree import runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
                                 critical_exponent, exponent_of, is_free,
                                 smallest_period)
+from palfree.structure import named_stream
 
 F = Fraction
 
@@ -107,6 +108,40 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
         assert runs.max_stretch_ratio(w) == best, w
     else:
         assert runs.max_stretch_ratio(w) == (1, 1, 0)
+    # the scan sized by the bound, and the rising need of max_stretch_ratio,
+    # above min_period
+    assert sorted(runs.iter_runs(w, min_period, b.min_violating_length)) == [
+        r for r in expected if r[1] >= min_period and b.violated_by(F(r[0], r[1]))]
+    tail = [r for r in expected if r[1] >= min_period]
+    best = (max(tail, key=lambda r: (F(r[0], r[1]), -r[2], -r[1])) if tail
+            else (1, min_period, 0))
+    assert runs.max_stretch_ratio(w, min_period) == best, (w, min_period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_scan_words, st.integers(1, 8),
+       st.sampled_from(["6/5+", "3/2", "5/3+", "7/4", "9/5+"]))
+def test_iter_runs_below_two_match_maximal_stretch_oracle(w, min_period, spec):
+    """The block length follows need(p) - p, so a bound below 2 gets short
+    blocks, and the scan still yields every stretch that violates it, once
+    each."""
+    b = ExponentBound.parse(spec)
+    got = list(runs.iter_runs(w, min_period, b.min_violating_length))
+    assert sorted(got) == sorted(
+        r for r in maximal_stretches(w)
+        if r[1] >= min_period and b.violated_by(F(r[0], r[1]))), (w, min_period)
+
+
+@pytest.mark.parametrize("kind", ["nu_p", "mu_p"])
+def test_violations_on_long_prefixes_match_filtered_square_scan(kind):
+    """On 5*10^4 letters of the paper's words, the scan sized by the bound
+    finds what the square scan filtered afterwards finds."""
+    w = named_stream(kind).prefix(50000)
+    squares = list(runs.iter_runs(w))
+    for spec in ("5/2", "5/2+", "28/11+"):
+        need = ExponentBound.parse(spec).min_violating_length
+        assert sorted(runs.violations(w, need)) == sorted(
+            r for r in squares if r[0] >= need(r[1])), spec
 
 
 @settings(max_examples=150, deadline=None)

@@ -186,18 +186,26 @@ class PalindromeBudgetResult:
         return self.within_budget and self.conclusive
 
 
-def _palindromes_of_image_language(inst: TransferInstance, window: int) -> set[str]:
+def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[str, int]:
     """Distinct non-empty palindromic factors of h(w) over all source-free
-    words w with |w| <= window (a superset of the limit language's set)."""
+    words w with |w| <= window (a superset of the limit language's set),
+    each labelled with the length of the shortest such w.
+
+    The eertree's state at a visit depends only on the source word, and the
+    walk is prefix-closed, so the palindromes of any window k <= window are
+    exactly those labelled <= k: one walk answers every smaller window."""
     tree = Eertree()
     state = ImageState(IncrementalFreeChecker(inst.source_bound), tree,
                        inst.h.images)
-    found: set[str] = set()
+    found: dict[str, int] = {}
 
     def visit(word: str) -> None:
+        d = len(word)
         for node in state.got:
             if node is not None:
-                found.add(tree.node_word(node))
+                pal = tree.node_word(node)
+                if found.get(pal, d) >= d:
+                    found[pal] = d
 
     Walk(state, ALPHABETS[inst.source_alphabet], window, visit).run([""])
     return found
@@ -219,22 +227,27 @@ def palindrome_cut_index(pals: set[str], horizon: int) -> int | None:
 def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
                              keep_palindromes: bool = True) -> PalindromeBudgetResult:
     """Stabilized distinct-palindrome count of the image language (empty word
-    included) compared against the claimed budget."""
+    included) compared against the claimed budget.
+
+    The window w grows by 2 until the cut condition holds; the count is
+    stabilized when window w + 2 adds no palindrome.  Both tests read the
+    shortest-source labels of one walk to w + 2."""
     inst.validate()
     q = inst.h.is_uniform()
     t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
     w = window if window is not None else ceil(t) + 2
     while True:
-        pals = _palindromes_of_image_language(inst, w)
+        # one walk to w + 2, or to w at the cap, labels both windows
+        labels = _palindromes_of_image_language(
+            inst, w + 2 if w + 2 <= PAL_WINDOW_CAP else w)
+        pals = {pal for pal, d in labels.items() if d <= w}
         # every factor of length <= (w-1)*q of the limit language shows up
         cut = palindrome_cut_index(pals, (w - 1) * q)
         if cut is not None or w >= PAL_WINDOW_CAP:
             break
         w += 2
-    stabilized = True
-    if cut is not None and w + 2 <= PAL_WINDOW_CAP:
-        again = _palindromes_of_image_language(inst, w + 2)
-        stabilized = again == pals
+    # window w + 2 adds no palindrome (trivially true when only w was walked)
+    stabilized = all(d <= w for d in labels.values())
     count = len(pals) + 1  # the empty word
     return PalindromeBudgetResult(
         instance=inst.name, window=w, count=count, budget=inst.claimed_palindromes,

@@ -32,15 +32,20 @@ from palfree.transfer import (load_instance, mrs_threshold, shipped_instances,
 from palfree.words import palindrome_count, reverse
 
 F = Fraction
-REPORT: list[str] = []
 _SUMMARY = Path(__file__).with_name("acceptance-summary.txt")
 
 
 def note(num: int, ok: bool, detail: str, wall: float | None = None) -> None:
+    """Print the criterion's line and put it in the summary in place of the
+    criterion's previous line, so a partial run keeps the other lines."""
     line = f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
-    REPORT.append(line)
     print("\n" + line + ("" if wall is None else f" [{wall:.0f}s]"), flush=True)
-    _SUMMARY.write_text("\n".join(REPORT) + "\n")
+    lines = {}
+    if _SUMMARY.exists():
+        for old in _SUMMARY.read_text().splitlines():
+            lines[int(old[len("criterion"):old.index(":")])] = old
+    lines[num] = line
+    _SUMMARY.write_text("".join(lines[k] + "\n" for k in sorted(lines)))
 
 
 EXPECTED_THRESHOLDS = {

@@ -237,6 +237,10 @@ def test_bound_parse_and_str():
     b = ExponentBound.parse("28/11+")
     assert b.threshold == F(28, 11) and b.strict
     assert str(b) == "28/11+"
+    # the cached numerator and denominator stay out of ==, hash and repr
+    same = ExponentBound(F(28, 11))
+    assert b == same and hash(b) == hash(same) and b != ExponentBound(F(28, 11), False)
+    assert repr(b) == "ExponentBound(threshold=Fraction(28, 11), strict=True)"
     b2 = ExponentBound.parse("3")
     assert not b2.strict
     with pytest.raises(ValueError):
@@ -321,6 +325,77 @@ def test_incremental_checker_matches_per_period_oracle(spec, alphabet,
                 fast.pop()
                 oracle.pop()
         assert fast.word() == oracle.word()
+
+
+def _refused(chk, x, start):
+    """The indices i >= start of the letters that chk, holding x[:start],
+    refuses when x[start:] is pushed letter by letter; chk is then popped
+    back to x[:start]."""
+    bad = {i for i in range(start, len(x)) if not chk.push(x[i])}
+    for _ in range(start, len(x)):
+        chk.pop()
+    return bad
+
+
+def _continuations(w, need):
+    """w continued at the periods 4^k - 1 and 4^k, the two ends of the
+    checker's bands [P, 4P), until the period alone must violate the bound."""
+    out = []
+    for k in range(1, 7):
+        for p in (4 ** k - 1, 4 ** k):
+            if p < len(w):
+                out.append(w + (w[-p:] * (need(p) // p + 1))[:need(p) - p])
+    return out
+
+
+def _violation_ends(x, bound, start=0):
+    """The indices i >= start of the letters of x at which some violation
+    ends, from the runs scan that is_free takes for bounds >= 2."""
+    need = bound.min_violating_length
+    return {i for ln, p, st in runs.violations(x, need)
+            for i in range(max(st + need(p) - 1, start), st + ln)}
+
+
+@pytest.mark.parametrize("spec", ["5/2", "5/2+", "28/11", "28/11+"])
+@pytest.mark.parametrize("kind", ["nu_p", "mu_p"])
+def test_incremental_checker_on_long_words_fills_the_widest_bands(kind, spec):
+    """accepts against is_free letter by letter: on 5*10^3 letters of the
+    paper's words, on the same prefix with one letter flipped near the end,
+    and continued at periods up to 4096, which fill the widest bands, the
+    checker refuses exactly the letters at which the runs scan ends a
+    violation.  Pushes go on past a refusal."""
+    b = ExponentBound.parse(spec)
+    w = named_stream(kind).prefix(5000)
+    n = len(w)
+    cut = n - 40
+    chk = IncrementalFreeChecker(b)
+    bad = {i for i in range(cut) if not chk.push(w[i])}
+    assert bad | _refused(chk, w, cut) == _violation_ends(w, b)
+    for i in (n - 2, n - 40):
+        x = w[:i] + "10"[int(w[i])] + w[i + 1:]
+        assert _refused(chk, x, cut) == _violation_ends(x, b, cut), i
+    for c in w[cut:]:
+        chk.push(c)
+    for x in _continuations(w, b.min_violating_length):
+        assert _refused(chk, x, n) == _violation_ends(x, b, n), len(x)
+
+
+@pytest.mark.parametrize("spec", ["7/4", "3/2+"])
+def test_incremental_checker_on_long_square_free_words(spec):
+    """Below 2 is_free runs the checker itself, so the oracle is the
+    per-period checker: every push agrees on 10^3 letters of the Thue word
+    and on its continuations at periods up to 256."""
+    b = ExponentBound.parse(spec)
+    fast, oracle = IncrementalFreeChecker(b), PerPeriodFreeChecker(b)
+    w = _thue_word(1000)
+    for c in w:
+        assert fast.push(c) == oracle.push(c), (len(oracle.w), spec)
+    for x in _continuations(w, b.min_violating_length):
+        for c in x[len(w):]:
+            assert fast.push(c) == oracle.push(c), (len(oracle.w), spec)
+        for _ in x[len(w):]:
+            fast.pop()
+            oracle.pop()
 
 
 @given(st.text(alphabet="0123", min_size=1, max_size=60))

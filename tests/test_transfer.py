@@ -1,15 +1,20 @@
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 
+import palfree.transfer as T
+from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
 from palfree.morphisms import Morphism
 from palfree.repetition import ExponentBound, IncrementalFreeChecker, is_free
-from palfree.transfer import (ImageState, TransferInstance, enumerate_free_words,
-                              load_instance, mrs_threshold,
-                              palindrome_cut_index, shipped_instances,
-                              verify_palindrome_budget, verify_transfer)
+from palfree.transfer import (ImageState, TransferInstance,
+                              _palindromes_of_image_language,
+                              enumerate_free_words, load_instance,
+                              mrs_threshold, palindrome_cut_index,
+                              shipped_instances, verify_palindrome_budget,
+                              verify_transfer)
 
 F = Fraction
 
@@ -131,19 +136,81 @@ def test_palindrome_budget_small_instance():
     assert res.palindromes == sorted(res.palindromes, key=lambda p: (len(p), p))
 
 
+IDENTITY = TransferInstance("identity", Morphism(("0", "1")), 2,
+                            ExponentBound.parse("7/3+"),
+                            ExponentBound.parse("8/3+"), 5)
+
+
 def test_palindrome_budget_inconclusive_for_identity():
-    ident = TransferInstance("identity", Morphism(("0", "1")), 2,
-                             ExponentBound.parse("7/3+"),
-                             ExponentBound.parse("8/3+"), 5)
-    import palfree.transfer as T
     old = T.PAL_WINDOW_CAP
     T.PAL_WINDOW_CAP = 6
     try:
-        res = verify_palindrome_budget(ident, window=4)
+        res = verify_palindrome_budget(IDENTITY, window=4)
     finally:
         T.PAL_WINDOW_CAP = old
     assert res.cut_index is None
     assert not res.conclusive
+
+
+def _image_palindromes(inst, window):
+    """Definitional oracle: entry k is the set of non-empty palindromic
+    factors of h(u) over the source-free words u with |u| <= k."""
+    by_length = [set() for _ in range(window + 1)]
+    for u in enumerate_free_words(inst.source_alphabet, inst.source_bound, window):
+        by_length[len(u)] |= palindrome_set_scan(inst.h.apply(u))
+    out, found = [], set()
+    for pals in by_length:
+        found |= pals
+        out.append(found - {""})
+    return out
+
+
+def _budget_oracle(inst, window):
+    """verify_palindrome_budget's window, count, cut, palindromes and
+    stabilization from the oracle, one window at a time."""
+    q = inst.h.is_uniform()
+    w = window
+    while True:
+        pals = _image_palindromes(inst, w)[w]
+        cut = palindrome_cut_index(pals, (w - 1) * q)
+        if cut is not None or w >= T.PAL_WINDOW_CAP:
+            break
+        w += 2
+    stabilized = (cut is None or w + 2 > T.PAL_WINDOW_CAP
+                  or _image_palindromes(inst, w + 2)[w + 2] == pals)
+    return w, len(pals) + 1, cut, sorted(pals, key=lambda p: (len(p), p)), stabilized
+
+
+@pytest.mark.parametrize("name", ["thm3a", "thm3b", "thm3c", "thm3d"])
+def test_labelled_palindrome_walk_matches_oracle(name):
+    """One walk to the default window + 2 labels each palindrome with its
+    shortest source length; every smaller window reads its set off the
+    labels."""
+    inst = load_instance(name)
+    t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold,
+                      inst.h.is_uniform())
+    window = ceil(t) + 4
+    labels = _palindromes_of_image_language(inst, window)
+    oracle = _image_palindromes(inst, window)
+    for w in range(window + 1):
+        assert {p for p, d in labels.items() if d <= w} == oracle[w], (name, w)
+
+
+@pytest.mark.parametrize("name,window,cap", [
+    (name, window, None) for name in ("thm3a", "thm3b", "thm3c", "thm3d")
+    for window in (3, 5)] + [
+    ("thm3d", 7, 8),  # window PAL_WINDOW_CAP - 1: no room for the w + 2 walk
+    ("identity", 3, 8),  # never cut: the window grows past the cap
+    ("identity", 7, 8),
+])
+def test_palindrome_budget_matches_window_by_window_oracle(name, window, cap,
+                                                           monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(T, "PAL_WINDOW_CAP", cap)
+    inst = IDENTITY if name == "identity" else load_instance(name)
+    res = verify_palindrome_budget(inst, window)
+    assert (res.window, res.count, res.cut_index, res.palindromes,
+            res.stabilized) == _budget_oracle(inst, window)
 
 
 def test_cut_index_logic():

@@ -357,10 +357,11 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
 
 
 def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
+    if prefix < 0:
+        raise ValueError(f"--prefix must be at least 0, got {prefix}")
     cert = Certificate("", FAIL)
     stream = structure_mod.named_stream(word)
-    n1 = palindrome_count(stream.prefix(prefix))
-    n2 = palindrome_count(stream.prefix(2 * prefix))
+    n1, n2 = palindrome_count(stream.prefix(2 * prefix), prefix)
     cert.put("word", word)
     cert.put("prefix", prefix)
     cert.put("count", n1)

@@ -186,49 +186,54 @@ def return_words(w: str, stream: Stream, L: int = DEFAULT_PREFIX) -> ReturnWordS
                                          stream, L, f"return words of {w!r}"))
 
 
-def _right_special_levels(text: str, max_len: int, alphabet: str):
-    """Occurrence-start lists of right-special factors, level by level
-    (every right-special factor's suffix is right special, so candidates are
-    single-letter left extensions of the previous level)."""
+def _right_special_levels(text: str, max_len: int):
+    """The right-special factors of text, level by level for lengths 1 to
+    max_len.  Each level maps a factor w to (right, by_left): its right
+    letters and, for each left letter a, the end positions (start + |a.w|,
+    ascending) of a.w's occurrences with a.w's right letters.
+
+    Every suffix of a right-special factor is right special, so level n + 1
+    is the right-special a.w in the by_left maps of level n, starting from
+    the empty word, which ends everywhere.  When w has one left letter a,
+    a.w ends where w does, bar an occurrence of w at position 0, so w's ends
+    and right letters pass on unchanged; only a bispecial factor's ends are
+    split by left letter."""
     L = len(text)
 
-    def right_count(starts, n):
-        return len({text[s + n] for s in starts if s + n < L})
+    def rights(ends):
+        return {text[e] for e in ends if e < L}
 
-    level = {}
-    for a in alphabet:
-        occ = occurrences(text, a)
-        if occ and right_count(occ, 1) >= 2:
-            level[a] = occ
-    yield level
-    n = 1
-    while n < max_len and level:
-        nxt = {}
-        for w, starts in level.items():
-            for a in alphabet:
-                s2 = [s - 1 for s in starts if s >= 1 and text[s - 1] == a]
-                if s2 and right_count(s2, n + 1) >= 2:
-                    nxt[a + w] = s2
-        yield nxt
-        level = nxt
-        n += 1
+    def left_extensions(ends, n, right):
+        if ends[0] == n:  # an occurrence at position 0 has no left letter
+            ends = ends[1:]
+            right = rights(ends)
+        left = {text[e - n - 1] for e in ends}
+        if len(left) == 1:
+            return {left.pop(): (ends, right)}
+        by_left = {a: [] for a in left}
+        for e in ends:
+            by_left[text[e - n - 1]].append(e)
+        return {a: (ea, rights(ea)) for a, ea in by_left.items()}
+
+    level = {"": (None, left_extensions(range(L + 1), 0, None))}
+    for n in range(1, max_len + 1):
+        level = {a + w: (right, left_extensions(ends, n, right))
+                 for w, (_, by_left) in level.items()
+                 for a, (ends, right) in by_left.items() if len(right) >= 2}
+        if not level:
+            break
+        yield level
 
 
-def _bispecials_in(text: str, max_len: int, alphabet: str) -> list[ExtensionProfile]:
+def _bispecials_in(text: str, max_len: int) -> list[ExtensionProfile]:
     out = []
-    L = len(text)
-    for level in _right_special_levels(text, max_len, alphabet):
+    for level in _right_special_levels(text, max_len):
         for w in sorted(level):
-            starts = level[w]
-            n = len(w)
-            left = {text[s - 1] for s in starts if s >= 1}
-            if len(left) < 2:
-                continue
-            right = {text[s + n] for s in starts if s + n < L}
-            bi = {(text[s - 1], text[s + n]) for s in starts
-                  if s >= 1 and s + n < L}
-            out.append(ExtensionProfile(w, frozenset(left), frozenset(right),
-                                        frozenset(bi)))
+            right, by_left = level[w]
+            if len(by_left) >= 2:
+                bi = {(a, b) for a, (_, rb) in by_left.items() for b in rb}
+                out.append(ExtensionProfile(w, frozenset(by_left), frozenset(right),
+                                            frozenset(bi)))
     return out
 
 
@@ -236,36 +241,28 @@ def bispecial_enumerate(stream: Stream, max_len: int,
                         L: int = DEFAULT_PREFIX) -> list[ExtensionProfile]:
     """All non-empty bispecial factors of length <= max_len, profiles
     stabilization-checked against a doubled prefix."""
-    alphabet = "".join(sorted(set(stream.prefix(256))))
-    profiles, at = _stabilized(lambda text: _bispecials_in(text, max_len, alphabet),
+    profiles, at = _stabilized(lambda text: _bispecials_in(text, max_len),
                                stream, L, "bispecial enumeration")
     for x in profiles:
         x.stabilized_at = at
     return profiles
 
 
+def _complexity_in(text: str, max_n: int) -> list[int]:
+    counts = [1, len(set(text))]
+    for level in _right_special_levels(text, max_n - 1):
+        counts.append(counts[-1] + sum(len(right) - 1 for right, _ in level.values()))
+    while len(counts) < max_n + 1:  # no special factors left: periodic tail
+        counts.append(counts[-1])
+    return counts[:max_n + 1]
+
+
 def factor_complexity(stream: Stream, max_n: int, L: int = DEFAULT_PREFIX) -> list[int]:
     """C(n) for n = 0..max_n via right-special extension counts
     (C(n+1) - C(n) = sum over right-special length-n factors of
     (#right extensions - 1)), stabilization-checked."""
-    alphabet = "".join(sorted(set(stream.prefix(256))))
-
-    def compute(text):
-        Lt = len(text)
-        counts = [1, len(set(text))]
-        for n, level in enumerate(_right_special_levels(text, max_n, alphabet), 1):
-            if n >= max_n:
-                break
-            inc = 0
-            for w, starts in level.items():
-                rext = len({text[s + n] for s in starts if s + n < Lt})
-                inc += rext - 1
-            counts.append(counts[-1] + inc)
-        while len(counts) < max_n + 1:  # no special factors left: periodic tail
-            counts.append(counts[-1])
-        return counts[:max_n + 1]
-
-    return _stabilized(compute, stream, L, "factor complexity")[0]
+    return _stabilized(lambda text: _complexity_in(text, max_n), stream, L,
+                       "factor complexity")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +516,12 @@ def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
     if stream.periodic:
         raise ValueError("bispecial exponent formula needs an aperiodic word")
     text = stream.prefix(4 * DEFAULT_PREFIX)
-    if len(set(text[i:i + 16] for i in range(len(text) - 16))) <= 16:
+    seen = set()
+    for i in range(len(text) - 16):  # stop at the 17th distinct 16-letter slice
+        seen.add(text[i:i + 16])
+        if len(seen) > 16:
+            break
+    else:
         raise ValueError("stream looks eventually periodic")
     profiles = bispecial_enumerate(stream, max_bs_len, L)
     best = (Fraction(0), "")

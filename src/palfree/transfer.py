@@ -231,21 +231,27 @@ def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
 
     The window w grows by 2 until the cut condition holds; the count is
     stabilized when window w + 2 adds no palindrome.  Both tests read the
-    shortest-source labels of one walk to w + 2."""
+    shortest-source labels of one walk: a walk to w + 2 answers the cut
+    test at w and, when that fails, at w + 2, so a deeper walk is made only
+    for window w + 4 or for the stabilization of a cut at w + 2."""
     inst.validate()
     q = inst.h.is_uniform()
     t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
     w = window if window is not None else ceil(t) + 2
+    depth = -1
     while True:
-        # one walk to w + 2, or to w at the cap, labels both windows
-        labels = _palindromes_of_image_language(
-            inst, w + 2 if w + 2 <= PAL_WINDOW_CAP else w)
+        if depth < w:
+            # one walk to w + 2, or to w at the cap, labels both windows
+            depth = w + 2 if w + 2 <= PAL_WINDOW_CAP else w
+            labels = _palindromes_of_image_language(inst, depth)
         pals = {pal for pal, d in labels.items() if d <= w}
         # every factor of length <= (w-1)*q of the limit language shows up
         cut = palindrome_cut_index(pals, (w - 1) * q)
         if cut is not None or w >= PAL_WINDOW_CAP:
             break
         w += 2
+    if depth < w + 2 <= PAL_WINDOW_CAP:
+        labels = _palindromes_of_image_language(inst, w + 2)
     # window w + 2 adds no palindrome (trivially true when only w was walked)
     stabilized = all(d <= w for d in labels.values())
     count = len(pals) + 1  # the empty word

@@ -67,12 +67,18 @@ def palindrome_set(w: str) -> set[str]:
     return out
 
 
-def palindrome_count(w: str) -> int:
-    """Number of distinct palindromic factors, the empty word included."""
+def palindrome_count(w: str, inner: int | None = None):
+    """Number of distinct palindromic factors, the empty word included.
+    With inner, the pair (count of w[:inner], count of w) from one pass."""
     tree = Eertree()
-    for c in w:
+    for c in w[:inner]:
         tree.push(c)
-    return tree.count() + 1
+    if inner is None:
+        return tree.count() + 1
+    first = tree.count() + 1
+    for c in w[inner:]:
+        tree.push(c)
+    return first, tree.count() + 1
 
 
 class FactorSet:

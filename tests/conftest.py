@@ -96,6 +96,34 @@ def palindrome_set_scan(w: str) -> set[str]:
     return out
 
 
+def special_factor_oracle(text: str, max_len: int):
+    """Definitional oracle for structure's right-special walk: for each
+    length n <= max_len, the left, right and (left, right) extension sets of
+    every length-n factor of text, read off its factor sets of lengths n + 1
+    and n + 2.  Returns the bispecial factors as (word, left, right, bi), by
+    length then word, and the complexity increments: entry n - 1 sums
+    #right - 1 over the right-special length-n factors."""
+    letters = sorted(set(text))
+
+    def factor_set(n):
+        return {text[i:i + n] for i in range(len(text) - n + 1)}
+
+    bispecials, increments = [], []
+    for n in range(1, max_len + 1):
+        longer, longest = factor_set(n + 1), factor_set(n + 2)
+        inc = 0
+        for w in sorted(factor_set(n)):
+            left = {a for a in letters if a + w in longer}
+            right = {b for b in letters if w + b in longer}
+            bi = {(a, b) for a in left for b in right if a + w + b in longest}
+            if len(right) >= 2:
+                inc += len(right) - 1
+                if len(left) >= 2:
+                    bispecials.append((w, left, right, bi))
+        increments.append(inc)
+    return bispecials, increments
+
+
 class PerPeriodFreeChecker:
     """Definitional oracle for repetition.IncrementalFreeChecker: the same
     push/pop API, testing every period up to i/beta letter by letter.

@@ -11,6 +11,8 @@ from palfree import cli
 from palfree.certificates import read_certificate
 from palfree.cli import (COMMANDS, GREEN_ANCHORS, build_parser, canonical_command,
                          classify_cell, main, run_command)
+from palfree.structure import named_stream
+from palfree.words import palindrome_count
 from fractions import Fraction
 
 F = Fraction
@@ -107,6 +109,23 @@ def test_palindromes_cli():
     assert bad.outcome == "fail"
 
 
+@pytest.mark.parametrize("word,prefix", [
+    ("001011", 100000), ("mu_p", 100000), ("nu_p", 100000),
+    ("01", 50),  # the count still grows between 50 and 100 letters
+])
+def test_palindromes_certificate_matches_two_counts(word, prefix):
+    """The one-pass certificate reports what two separate counts, at prefix
+    and at 2 * prefix, give."""
+    stream = named_stream(word)
+    n1 = palindrome_count(stream.prefix(prefix))
+    n2 = palindrome_count(stream.prefix(2 * prefix))
+    cert = run(f"palindromes --word {word} --prefix {prefix}")
+    assert cert.evidence["count"] == str(n1)
+    assert cert.evidence["stabilized"] == ("yes" if n1 == n2 else "no")
+    if word == "01":
+        assert cert.evidence["stabilized"] == "no"
+
+
 def test_splice_cli():
     cert = run("splice --prefix 60000 --center 200")
     assert cert.outcome == "pass"
@@ -124,6 +143,7 @@ def test_preimage_cli_family_mismatch():
 
 @pytest.mark.parametrize("command", [
     "palindromes --word ''",
+    "palindromes --word mu_p --prefix -5",
     "structure --word ''",
     "exponent --word 001011 --method closed-form",
     "exponent --word 001011 --method bispecial",

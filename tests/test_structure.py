@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from palfree.morphisms import load_morphism
-from palfree.structure import (FAMILIES, TARGET_RATIO,
+from conftest import special_factor_oracle
+from palfree.morphisms import Morphism, load_morphism
+from palfree.structure import (FAMILIES, TARGET_RATIO, _bispecials_in, _complexity_in,
                                bispecial_enumerate, critical_exponent_via_bispecials,
                                exact_family_ratios, expected_shortest_return_length,
                                extension_profile, factor_complexity,
@@ -153,6 +155,46 @@ def test_factor_complexity_periodic_word():
     assert comp[6:] == [6] * 7
 
 
+def _walk_texts():
+    texts = {}
+    for kind in ("p", "nu_p", "mu_p"):
+        text = named_stream(kind).prefix(300)
+        for n in (1, 2, 7, 60, 300):
+            texts[f"{kind}[:{n}]"] = text[:n]
+        texts[f"reversed {kind}[:200]"] = text[:200][::-1]
+    texts["(001011)^k"] = ("001011" * 20)[:110]
+    texts["(01)^k"] = "01" * 25
+    texts["0^k"] = "0" * 30
+    rng = random.Random(20)
+    for k in range(24):
+        alphabet = "01" if k % 2 else "012"
+        texts[f"random {k}"] = "".join(rng.choice(alphabet)
+                                       for _ in range(rng.randrange(1, 150)))
+    # "1" is right special only by its occurrence at position 0 (right
+    # letter 0); after it, every "1" has the left letter 2 and right letter 2
+    texts["position 0"] = "10" + "21" * 30
+    return texts
+
+
+WALK_TEXTS = _walk_texts()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_TEXTS))
+def test_special_factor_walk_matches_oracle(name):
+    """The bispecial profiles and complexity counts read off the right-special
+    walk equal the extension sets taken from the factor sets, for max_len 1,
+    2, 5 and the whole text (past its longest special factor)."""
+    text = WALK_TEXTS[name]
+    bispecials, increments = special_factor_oracle(text, max(len(text), 5))
+    for max_len in (1, 2, 5, len(text)):
+        got = [(x.word, x.left, x.right, x.bi) for x in _bispecials_in(text, max_len)]
+        assert got == [b for b in bispecials if len(b[0]) <= max_len], (name, max_len)
+        counts = [1, len(set(text))]
+        for inc in increments[:max_len - 1]:
+            counts.append(counts[-1] + inc)
+        assert _complexity_in(text, max_len) == counts, (name, max_len)
+
+
 def test_family_words_match_seed_lengths():
     nu = load_morphism("nu")
     mu = load_morphism("mu")
@@ -238,6 +280,13 @@ def test_structural_exponents():
 def test_bispecial_exponent_rejects_periodic():
     with pytest.raises(ValueError):
         critical_exponent_via_bispecials(named_stream("001011"))
+
+
+def test_bispecial_exponent_rejects_eventually_periodic():
+    # 0 -> 01, 1 -> 11 fixes 0 1^w: a morphic stream with two 16-letter factors
+    stream = MorphicStream("01^w", Morphism(("01", "11")), "0")
+    with pytest.raises(ValueError, match="eventually periodic"):
+        critical_exponent_via_bispecials(stream)
 
 
 def test_enumerated_bispecials_match_family_forms(nu_stream, mu_stream):

@@ -213,6 +213,32 @@ def test_palindrome_budget_matches_window_by_window_oracle(name, window, cap,
             res.stabilized) == _budget_oracle(inst, window)
 
 
+@pytest.mark.parametrize("name,window,cap,walks", [
+    # the walk to 5 answers windows 3 and 5; the cut at 5 needs 7 to stabilize
+    ("thm3d", 3, None, [5, 7]),
+    # never cut: each walk answers two windows until the cap stops the w + 2 walk
+    ("identity", 3, 12, [5, 9, 11, 13]),
+])
+def test_palindrome_budget_walks_once_per_two_windows(name, window, cap, walks,
+                                                      monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(T, "PAL_WINDOW_CAP", cap)
+    inst = IDENTITY if name == "identity" else load_instance(name)
+    depths = []
+
+    def counted(inst, depth):
+        depths.append(depth)
+        return _palindromes_of_image_language(inst, depth)
+
+    monkeypatch.setattr(T, "_palindromes_of_image_language", counted)
+    res = verify_palindrome_budget(inst, window)
+    assert depths == walks
+    assert (res.window, res.count, res.cut_index, res.palindromes,
+            res.stabilized) == _budget_oracle(inst, window)
+    if name == "thm3d":
+        assert (res.window, res.count, res.cut_index, res.stabilized) == (5, 15, 9, True)
+
+
 def test_cut_index_logic():
     assert palindrome_cut_index(set(), horizon=10) == 2
     assert palindrome_cut_index({"0", "1", "00"}, horizon=100) == 4

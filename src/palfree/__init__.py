@@ -5,11 +5,11 @@ from .cubic import CubicConstants, Interval, solve_sequence
 from .morphisms import Morphism, load_morphism, shipped_morphisms
 from .repetition import (ExponentBound, IncrementalFreeChecker, Violation,
                          critical_exponent, exponent_of, is_free)
-from .words import (FactorSet, complement, factors, palindrome_count,
-                    palindrome_set, parikh, reverse)
+from .words import (complement, factors, palindrome_count, palindrome_set,
+                    parikh, reverse)
 
 __all__ = [
-    "CubicConstants", "ExponentBound", "FactorSet", "IncrementalFreeChecker",
+    "CubicConstants", "ExponentBound", "IncrementalFreeChecker",
     "Interval", "Morphism", "Violation", "complement", "critical_exponent",
     "exponent_of", "factors", "is_free", "load_morphism", "palindrome_count",
     "palindrome_set", "parikh", "reverse", "shipped_morphisms",

@@ -1,8 +1,8 @@
 """Command-line front end: verifications as replayable certificates.
 
 Exit codes: 0 every check passed, 1 some check failed, 2 inconclusive
-(resource cap hit) with nothing failing, or input refused: by the parser,
-or by a builder raising ValueError.
+(a resource cap hit, or a walk too shallow to prove its claim) with nothing
+failing, or input refused: by the parser, or by a builder raising ValueError.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import shlex
 import sys
 import time
 from fractions import Fraction
+from math import ceil
 
 from . import rauzy as rauzy_mod
 from . import search as search_mod
@@ -27,11 +28,6 @@ from .words import palindrome_count, reverse
 
 def _default_jobs() -> int:
     return int(os.environ.get("PALFREE_JOBS", os.cpu_count() or 1))
-
-
-def _default_nodes() -> int | None:
-    v = os.environ.get("PALFREE_NODE_BUDGET")
-    return int(v) if v else None
 
 
 def _bound_from_args(exp: str | None, strict: str | None) -> ExponentBound | None:
@@ -72,7 +68,8 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     cert.put("stabilized", "yes" if pal.stabilized else "no")
     cert.lists["palindromes"] = ["(empty word)"] + pal.palindromes
     if pal.passed and pal.stabilized:
-        cert.outcome = PASS
+        # a walk that stops below ceil(threshold) proves no transfer
+        cert.outcome = PASS if tr.depth >= ceil(tr.threshold) else INCONCLUSIVE
     elif not pal.conclusive:
         cert.outcome = INCONCLUSIVE
     return cert
@@ -357,8 +354,6 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
 
 
 def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
-    if prefix < 0:
-        raise ValueError(f"--prefix must be at least 0, got {prefix}")
     cert = Certificate("", FAIL)
     stream = structure_mod.named_stream(word)
     n1, n2 = palindrome_count(stream.prefix(2 * prefix), prefix)
@@ -487,14 +482,17 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
 # order.  The parser, the canonical command line and the dispatch all derive
 # from it.
 
-def _at_least_one(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(least: int):
+    """An int flag type that refuses values below least."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return parse
 
 
 def _stream_name(text: str) -> str:
@@ -554,13 +552,13 @@ COMMANDS = {
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=int),
         _flag("--cap", type=int, default=400),
-        _flag("--nodes", type=int, default=_default_nodes),
+        _flag("--nodes", type=int),
         _flag("--symmetry", action="store_true"),
         _flag("--forbid", action="append", default=[]),
     ]),
     "growth": ("exact counts and growth estimate", cert_growth, [
         _flag("--pal", type=int, required=True),
-        _flag("--max-n", type=_at_least_one, default=60),
+        _flag("--max-n", type=_int_at_least(1), default=60),
         _flag("--window", type=int),
         _flag("--expect", type=float),
         _flag("--tol", when=lambda a: a.expect is not None, type=float, default=0.01),
@@ -580,14 +578,15 @@ COMMANDS = {
         _flag("--trim", action="store_true"),
         _flag("--compare"),
         _flag("--select-avoiding"),
-        _flag("--nodes", type=int, default=_default_nodes),
+        _flag("--nodes", type=int),
         _flag("--no-symmetry", action="store_true"),
     ]),
     "exponent": ("critical exponents three ways", cert_exponent, [
         _flag("--word", required=True, type=_stream_name),
         _flag("--method", choices=("empirical", "bispecial", "closed-form"),
               default="empirical"),
-        _flag("--prefix", when=lambda a: a.method == "empirical", type=int, default=100000),
+        _flag("--prefix", when=lambda a: a.method == "empirical", type=_int_at_least(0),
+              default=100000),
         _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
               help="ignored: the bispecial method uses its own limit"),
         _flag("--expect"),
@@ -600,11 +599,11 @@ COMMANDS = {
     ]),
     "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
         _flag("--word", required=True, type=_stream_name),
-        _flag("--prefix", type=int, default=100000),
+        _flag("--prefix", type=_int_at_least(0), default=100000),
         _flag("--expect", type=int),
     ]),
     "splice": ("the glued word around 010110", cert_splice, [
-        _flag("--prefix", type=int, default=100000),
+        _flag("--prefix", type=_int_at_least(0), default=100000),
         _flag("--center", type=int, default=200),
     ]),
     "table1": ("classify and verify one cell", cert_table1, [
@@ -625,8 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, (help_text, _builder, flags) in COMMANDS.items():
         s = sub.add_parser(cmd, help=help_text)
         for name, _dest, kw, _when in flags:
-            if callable(kw.get("default")):  # read the environment now
-                kw = dict(kw, default=kw["default"]())
             s.add_argument(name, **kw)
         s.add_argument("--out", help="write the certificate to a file")
 

@@ -241,12 +241,6 @@ class CubicConstants:
         term = self.B * lpow
         return self.A * bpow + 2 * term.re
 
-    def recurrence_values(self, n: int) -> list[int]:
-        seq = list(self.seeds)
-        while len(seq) <= n:
-            seq.append(2 * seq[-1] - seq[-2] + seq[-3])
-        return seq[:n + 1]
-
 
 def solve_sequence(seeds, width: Fraction = DEFAULT_WIDTH) -> CubicConstants:
     """Constants for s_n satisfying s_{n+1} = 2 s_n - s_{n-1} + s_{n-2}.

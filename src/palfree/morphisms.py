@@ -7,7 +7,7 @@ from functools import cache
 from importlib import resources
 from itertools import product
 
-from .words import ALPHABETS, FactorSet, check_word, parikh
+from .words import ALPHABETS, check_word, factors, parikh
 
 
 class Morphism:
@@ -129,9 +129,9 @@ class Morphism:
         return True
 
 
-def synchronization_points(m: Morphism, w: str, context: FactorSet) -> list[int] | None:
+def synchronization_points(m: Morphism, w: str, context: str) -> list[int] | None:
     """Cut positions 0..|w| forced in every parse of w as a factor of images
-    of context words; None when w admits no parse at all.
+    of factors of the context word; None when w admits no parse at all.
 
     Parses are enumerated over context factors long enough that any parse
     ambiguity has resolved (one extra image on each side).
@@ -142,7 +142,7 @@ def synchronization_points(m: Morphism, w: str, context: FactorSet) -> list[int]
     zlen = len(w) // min_im + 2
     cuts = None
     found = False
-    for z in sorted(context.of_length(zlen)):
+    for z in sorted(factors(context, zlen)):
         img = m.apply(z)
         # image boundary positions of z inside img
         bounds = [0]

@@ -527,32 +527,6 @@ class BudgetExceeded(Exception):
         self.stats = stats
 
 
-@dataclass
-class EquivalenceResult:
-    length: int
-    margin: int
-    matched: bool
-    only_search: list[str]
-    only_reference: list[str]
-    searched: int
-    reference_count: int
-
-
-def factor_equivalence(c: SearchConstraints, reference_prefix: str, length: int,
-                       margin: int | None = None) -> EquivalenceResult:
-    """Compare two-sided-extendable length-L words under c with the length-L
-    factor set of the reference word."""
-    if margin is None:
-        margin = length
-    middles, stats = extendable_middles(c, length, margin)
-    ref = {reference_prefix[i:i + length]
-           for i in range(len(reference_prefix) - length + 1)}
-    only_search = sorted(middles - ref)
-    only_ref = sorted(ref - middles)
-    return EquivalenceResult(length, margin, not only_search and not only_ref,
-                             only_search, only_ref, len(middles), len(ref))
-
-
 # ---------------------------------------------------------------------------
 # shipped pre-image data: the ternary forbidden family and the image-side
 # forbidden sets for the two binary images, with the refutation orders the
@@ -570,8 +544,7 @@ IMAGE_FORBIDDEN = {
 REFUTATION_ORDER = {
     "mu": ("22", "20", "00", "11", "212", "0101", "02102",
            "121012", "01021010", "21021012102"),
-    "nu": ("00", "11", "22", "20", "212", "0101", "02102",
-           "121012", "01021010", "21021012102"),
+    "nu": TERNARY_FORBIDDEN,
 }
 
 FAMILY_NAMES = {"mu": "F18", "nu": "F20"}

@@ -15,8 +15,8 @@ offsets (a, b) has the core
 (negative powers left out); in nu_p and mu_p it is a (prefix, suffix) wrap
 around the image of the core under OUTER's morphism.  Its shortest return
 word has length s_(2n+r) = |outer(phi^(2n+r)(base))|.  The closed forms,
-the return lengths, the length sequences' seeds and the ratio indices all
-derive from the table.
+the return lengths, the length sequences' seeds, the ratio indices and the
+ratios' numerator constants all derive from the table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cubic
-from .cubic import CubicConstants, Interval, as_complex, solve_sequence
+from .cubic import Interval, as_complex, solve_sequence
 from .morphisms import Morphism, load_morphism
 
 DEFAULT_PREFIX = 20000
@@ -275,14 +275,10 @@ def _phi_pow(w: str, k: int) -> str:
     return w
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in OUTER:
-        raise ValueError(f"kind must be p, nu_p or mu_p, not {kind!r}")
-
-
 def _image(kind: str, w: str) -> str:
     """outer(w) for the word of this kind (w itself for p)."""
-    _check_kind(kind)
+    if kind not in OUTER:
+        raise ValueError(f"kind must be p, nu_p or mu_p, not {kind!r}")
     return w if OUTER[kind] is None else load_morphism(OUTER[kind]).apply(w)
 
 
@@ -300,8 +296,14 @@ class Family:
     @property
     def m0(self) -> int:
         """The least return power 2n + r >= 0: ratio j is member
-        n = j + (m0 - r) / 2, over the sequence term s_{m0+2j}."""
+        n = j + n0, over the sequence term s_{m0+2j}."""
         return self.r % 2
+
+    @property
+    def n0(self) -> int:
+        """The member of ratio 0; members before it (A's member 0, return
+        power -1) are ratio candidates by word."""
+        return (self.m0 - self.r) // 2
 
 
 FAMILY_TABLE = {
@@ -340,17 +342,12 @@ def family_members(kind: str, max_len: int) -> dict[str, tuple[str, int]]:
 
 def expected_shortest_return_length(kind: str, fam: str, n: int) -> int:
     """Shortest-return-word lengths implied by the Parikh-equivalent forms:
-    term 2n + r of the family's length sequence.  Family A at n = 0 sits
-    outside the closed form."""
-    _check_kind(kind)
-    if fam == "A" and n == 0:
-        if kind == "p":
-            return 2
-        if kind == "nu_p":
-            return 3
-        raise ValueError("family A starts at n = 1 for mu_p")
+    term m = 2n + r of the family's length sequence.  Family A's member 0
+    has m = -1, one step of the recurrence back: s_-1 = s_2 - 2 s_1 + s_0."""
     f = FAMILY_TABLE[fam]
-    return length_sequence(kind, f.base, 2 * n + f.r)[2 * n + f.r]
+    m = 2 * n + f.r
+    s = length_sequence(kind, f.base, m)
+    return s[m] if m >= 0 else s[2] - 2 * s[1] + s[0]
 
 
 def length_sequence(kind: str, base: str, upto: int) -> list[int]:
@@ -363,26 +360,23 @@ def length_sequence(kind: str, base: str, upto: int) -> list[int]:
     return s
 
 
-@dataclass
-class FamilySpec:
-    const: int      # additive constant in the numerator
-    extra: tuple[tuple[str, Fraction], ...] = ()  # base cases outside the form
+def numerator_constant(kind: str, fam: str) -> int:
+    """K in ratio j = (K + s_m0 + s_(m0+2) + ... + s_(m0+2j)) / s_(m0+2j):
+    ratio 0 is |member n0| / s_m0, so K = |member n0| - s_m0."""
+    f = FAMILY_TABLE[fam]
+    s = length_sequence(kind, f.base, f.m0)
+    return len(family_bispecial(kind, fam, f.n0)) - s[f.m0]
 
 
-FAMILIES = {
-    "nu_p": {
-        "A": FamilySpec(4, (("1001", Fraction(4, 3)),)),
-        "B": FamilySpec(1),
-        "C": FamilySpec(2),
-        "D": FamilySpec(2),
-    },
-    "mu_p": {
-        "A": FamilySpec(6),
-        "B": FamilySpec(6),
-        "C": FamilySpec(0),
-        "D": FamilySpec(8),
-    },
-}
+def early_member_ratios(kind: str, fam: str) -> list[tuple[str, Fraction]]:
+    """(member, |member| / shortest return length) for the members before
+    the family's ratio 0: family A's member 0."""
+    out = []
+    for n in range(FAMILY_TABLE[fam].n0):
+        w = family_bispecial(kind, fam, n)
+        out.append((w, Fraction(len(w), expected_shortest_return_length(kind, fam, n))))
+    return out
+
 
 TARGET_RATIO = {"nu_p": Fraction(3, 2), "mu_p": Fraction(17, 11)}
 
@@ -402,7 +396,7 @@ def exact_family_ratios(kind: str, fam: str, N: int) -> list[Fraction]:
     m0 = FAMILY_TABLE[fam].m0
     seq = length_sequence(kind, FAMILY_TABLE[fam].base, m0 + 2 * N)
     out = []
-    total = FAMILIES[kind][fam].const
+    total = numerator_constant(kind, fam)
     for j in range(N):
         idx = m0 + 2 * j
         total += seq[idx]
@@ -429,7 +423,7 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
     where C0 collects the constant and oscillating parts; the right side
     grows with j, so checking j = n0 settles every larger j.
     """
-    const = FAMILIES[kind][fam].const
+    const = numerator_constant(kind, fam)
     m0 = FAMILY_TABLE[fam].m0
     T = TARGET_RATIO[kind]
     tn, td = T.numerator, T.denominator
@@ -470,31 +464,28 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
 class FamilyRatioReport:
     kind: str
     family: str
-    exact_ratios: list[Fraction]
     sup: Fraction
     sup_index: int | str
     bounded_by_target: bool
-    target: Fraction
     tail: TailBound | None
 
 
 def family_ratio_analysis(kind: str, family: str, N: int = 30) -> FamilyRatioReport:
-    """Exact ratios for the first N family members plus the interval tail
-    verdict; family "F" covers the short bispecial factors."""
+    """Exact ratios for the first N family members from ratio 0 on, plus the
+    members before it and the interval tail verdict; family "F" covers the
+    short bispecial factors."""
     T = TARGET_RATIO[kind]
     if family == "F":
         ratios = SHORT_BISPECIAL_RATIOS[kind]
         sup = max(ratios.values())
         witness = min(w for w, r in ratios.items() if r == sup)
-        return FamilyRatioReport(kind, "F", sorted(ratios.values()), sup,
-                                 witness, sup <= T, T, None)
-    spec = FAMILIES[kind][family]
+        return FamilyRatioReport(kind, "F", sup, witness, sup <= T, None)
     tail = tail_bound(kind, family)
     exact = exact_family_ratios(kind, family, max(N, tail.n0))
-    candidates = list(enumerate(exact)) + [(w, r) for w, r in spec.extra]
+    candidates = list(enumerate(exact)) + early_member_ratios(kind, family)
     sup_index, sup = max(candidates, key=lambda t: t[1])
     ok = sup <= T and tail.holds and all(r <= T for r in exact)
-    return FamilyRatioReport(kind, family, exact[:N], sup, sup_index, ok, T, tail)
+    return FamilyRatioReport(kind, family, sup, sup_index, ok, tail)
 
 
 @dataclass
@@ -504,8 +495,6 @@ class StructuralExponent:
     witness_word: str
     witness_ratio: Fraction
     families: dict[str, FamilyRatioReport]
-    enumerated_max: Fraction
-    enumerated_witness: str
 
 
 def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
@@ -536,7 +525,7 @@ def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
 def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
     """Assemble the exact critical exponent of one of the two binary images
     from the family analysis, cross-checked against enumeration."""
-    if kind not in FAMILIES:
+    if kind not in TARGET_RATIO:
         raise ValueError("structural exponent is computed for nu_p and mu_p")
     reports = {fam: family_ratio_analysis(kind, fam, N)
                for fam in [*FAMILY_TABLE, "F"]}
@@ -547,18 +536,15 @@ def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
     best_fam = min(f for f, r in reports.items() if r.sup == sup)
     rep = reports[best_fam]
     if isinstance(rep.sup_index, int):
-        f = FAMILY_TABLE[best_fam]
-        witness = family_bispecial(kind, best_fam, rep.sup_index + (f.m0 - f.r) // 2)
+        witness = family_bispecial(kind, best_fam, rep.sup_index + FAMILY_TABLE[best_fam].n0)
     else:
         witness = rep.sup_index
     stream = named_stream(kind)
-    E, enum_wit, enum_ratio, _profiles = critical_exponent_via_bispecials(
-        stream, max_bs_len=len(witness) + 50)
+    E = critical_exponent_via_bispecials(stream, max_bs_len=len(witness) + 50)[0]
     exponent = 1 + sup
     if E != exponent:
         raise ArithmeticError(f"enumeration ({E}) disagrees with families ({exponent})")
-    return StructuralExponent(kind, exponent, witness, sup, reports,
-                              enum_ratio, enum_wit)
+    return StructuralExponent(kind, exponent, witness, sup, reports)
 
 
 def asymptotic_exponent(kind: str, width=Fraction(1, 10 ** 12)) -> Interval:
@@ -567,22 +553,6 @@ def asymptotic_exponent(kind: str, width=Fraction(1, 10 ** 12)) -> Interval:
     if kind not in OUTER:
         raise ValueError("asymptotic exponent known for p, nu_p, mu_p only")
     return cubic.asymptotic_exponent_value(width)
-
-
-def empirical_asymptotic(kind: str, prefix_len: int = 200000,
-                         min_period: int = 50) -> Fraction:
-    """Largest exponent among repetitions with long periods in a prefix:
-    a direct cross-check of the asymptotic exponent."""
-    from . import runs
-    text = named_stream(kind).prefix(prefix_len)
-    ln, p, _ = runs.max_stretch_ratio(text, min_period)
-    return Fraction(ln, p)
-
-
-def sequence_solver(seeds, width=Fraction(1, 10 ** 13)) -> CubicConstants:
-    """Closed-form constants for a length sequence obeying
-    s_{n+1} = 2 s_n - s_{n-1} + s_{n-2}; exact-interval output."""
-    return solve_sequence(tuple(seeds), width)
 
 
 def paper_display_checks(width=Fraction(1, 10 ** 13)) -> dict[str, bool]:

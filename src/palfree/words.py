@@ -79,40 +79,3 @@ def palindrome_count(w: str, inner: int | None = None):
     for c in w[inner:]:
         tree.push(c)
     return first, tree.count() + 1
-
-
-class FactorSet:
-    """Factors of one or more source words, grouped by length.
-
-    Factorially closed by construction: every factor of a stored factor is
-    itself a factor of the source.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-
-    def of_length(self, n: int) -> set[str]:
-        return factors(self.source, n)
-
-    def __contains__(self, w: str) -> bool:
-        return w in self.source
-
-    def count(self, n: int) -> int:
-        return len(self.of_length(n))
-
-
-def read_words(path) -> list[str]:
-    """Plain-text word format: one word per line, letters as ASCII digits."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(check_word(line))
-    return out
-
-
-def write_words(path, words) -> None:
-    with open(path, "w") as fh:
-        for w in sorted(words):
-            fh.write(w + "\n")

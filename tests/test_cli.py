@@ -143,7 +143,6 @@ def test_preimage_cli_family_mismatch():
 
 @pytest.mark.parametrize("command", [
     "palindromes --word ''",
-    "palindromes --word mu_p --prefix -5",
     "structure --word ''",
     "exponent --word 001011 --method closed-form",
     "exponent --word 001011 --method bispecial",
@@ -298,14 +297,12 @@ def _canonical(cmdline):
     return canonical_command(build_parser().parse_args(shlex.split(cmdline)))
 
 
-def test_canonical_command_lines(monkeypatch):
-    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+def test_canonical_command_lines():
     for invocation, expected in COMMAND_LINES:
         assert _canonical(invocation) == expected, invocation
 
 
-def test_canonical_command_is_a_fixed_point(monkeypatch):
-    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+def test_canonical_command_is_a_fixed_point():
     seen = set()
     for _invocation, expected in COMMAND_LINES:
         assert _canonical(expected) == expected
@@ -313,10 +310,9 @@ def test_canonical_command_is_a_fixed_point(monkeypatch):
     assert seen == set(COMMANDS)
 
 
-def test_reference_certificates_render_their_command_lines(monkeypatch):
+def test_reference_certificates_render_their_command_lines():
     """Every command: line pinned by the benchmark's reference certificates
     parses and renders back byte for byte."""
-    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
     paths = sorted(REFERENCE_DIR.glob("*.cert"))
     assert paths
     for path in paths:
@@ -327,11 +323,12 @@ def test_reference_certificates_render_their_command_lines(monkeypatch):
 @pytest.mark.parametrize("name", [
     "table1-p10-b10_3", "table1-p14-b8_3", "table1-p17-b13_5", "table1-p17-b28_11",
     "optimality-pal8", "optimality-cubefree14",
+    "exponent-nu-structural", "exponent-mu-structural", "structure-p",
 ])
-def test_search_node_counts_match_reference_certificates(name, monkeypatch):
-    """The cheap node-counting reference certificates of the benchmark
-    rerun to the same evidence, so the walk still visits the same nodes."""
-    monkeypatch.delenv("PALFREE_NODE_BUDGET", raising=False)
+def test_reference_certificates_rerun_to_same_evidence(name):
+    """The cheap reference certificates of the benchmark rerun to the same
+    evidence: the search ones pin the nodes the walk visits, the structural
+    ones the family sups, witnesses, bispecials and return lengths."""
     want = read_certificate(REFERENCE_DIR / f"{name}.cert")
     assert run(want.command).comparable() == want.comparable()
 
@@ -352,15 +349,6 @@ def test_traced_names_resolve():
             if name not in scope:
                 missing.append(f"{layer}.{attr}")
     assert not missing
-
-
-def test_node_budget_from_environment_is_rendered(monkeypatch):
-    monkeypatch.setenv("PALFREE_NODE_BUDGET", "77")
-    assert _canonical("optimality --pal 8") == \
-        "optimality --alphabet 2 --pal 8 --cap 400 --nodes 77"
-    assert _canonical("rauzy --exp 3 --pal 10 --ell 5 --nodes 5") == \
-        "rauzy --exp 3 --pal 10 --ell 5 --mode weak --nodes 5"
-    assert _canonical("table1 --p 9 --beta inf") == "table1 --p 9 --beta inf --cap 400"
 
 
 def test_table1_nodes_zero_replays(tmp_path, capsys):
@@ -403,12 +391,28 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
      "argument --bound: not an exponent bound: 'inf'"),
     (["optimality", "--alphabet", "7"], "argument --alphabet: invalid choice: 7"),
     (["optimality", "--alphabet", "0"], "argument --alphabet: invalid choice: 0"),
+    (["palindromes", "--word", "mu_p", "--prefix", "-5"],
+     "argument --prefix: must be at least 0, got -5"),
+    (["exponent", "--word", "mu_p", "--method", "empirical", "--prefix", "-5",
+      "--bound", "5/2"], "argument --prefix: must be at least 0, got -5"),
+    (["splice", "--prefix", "-5"], "argument --prefix: must be at least 0, got -5"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_transfer_walk_below_threshold_is_inconclusive(capsys):
+    """thm3a's threshold is 20/3: a freeness walk to depth 2 finds no
+    violation but proves nothing, so the outcome is inconclusive (exit 2);
+    at depth ceil(20/3) = 7 it passes."""
+    assert main(["verify-morphism", "--instance", "thm3a", "--depth", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "outcome: inconclusive\n" in out and "image-freeness: pass\n" in out
+    assert main(["verify-morphism", "--instance", "thm3a", "--depth", "7"]) == 0
+    assert "outcome: pass\n" in capsys.readouterr().out
 
 
 def test_growth_max_n_one():

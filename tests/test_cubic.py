@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from palfree.cubic import (CUBIC, ComplexInterval, Interval, as_complex,
                            asymptotic_exponent_value, eval_poly, isolate_root,
                            solve_sequence, sqrt_interval)
+from palfree.structure import length_sequence
 
 F = Fraction
 rationals = st.fractions(min_value=-100, max_value=100)
@@ -56,14 +57,22 @@ def test_root_isolation():
 
 
 def test_solved_constants_reproduce_integer_sequences():
-    for seeds in ((6, 10, 17), (4, 7, 13), (11, 21, 36), (10, 15, 26)):
-        cc = solve_sequence(seeds)
-        ints = cc.recurrence_values(20)
-        for n in range(21):
-            iv = cc.evaluate(n)
-            assert iv.lo <= ints[n] <= iv.hi, (seeds, n)
-            assert iv.width < F(1, 10 ** 6)  # widths compound under powering
-        assert cc.error_radius < F(1, 10 ** 12)
+    """The closed forms of the four length sequences of nu_p and mu_p
+    reproduce the integer recurrence."""
+    seen = set()
+    for kind in ("nu_p", "mu_p"):
+        for base in ("012", "01"):
+            ints = length_sequence(kind, base, 20)
+            seeds = tuple(ints[:3])
+            seen.add(seeds)
+            cc = solve_sequence(seeds)
+            assert cc.seeds == seeds
+            for n in range(21):
+                iv = cc.evaluate(n)
+                assert iv.lo <= ints[n] <= iv.hi, (seeds, n)
+                assert iv.width < F(1, 10 ** 6)  # widths compound under powering
+            assert cc.error_radius < F(1, 10 ** 12)
+    assert seen == {(6, 10, 17), (4, 7, 13), (11, 21, 36), (10, 15, 26)}
 
 
 def test_constant_values_frozen():

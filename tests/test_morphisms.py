@@ -9,7 +9,7 @@ from palfree.morphisms import (Morphism, characteristic_polynomial,
                                load_morphism, parse_morphism,
                                shipped_morphisms, synchronization_points)
 from palfree.transfer import load_instance, shipped_instances
-from palfree.words import FactorSet, parikh
+from palfree.words import factors, parikh
 
 PHI = load_morphism("phi")
 MU = load_morphism("mu")
@@ -144,19 +144,18 @@ def test_shipped_listing():
 
 
 def test_synchronization_points_phi(p_word):
-    ctx = FactorSet(p_word[:20000])
+    ctx = p_word[:20000]
     # every non-empty factor of the fixed point has a synchronization point
     for n in (1, 2, 3, 5, 9, 17, 30):
-        for w in sorted(FactorSet(p_word[:3000]).of_length(n)):
+        for w in sorted(factors(p_word[:3000], n)):
             pts = synchronization_points(PHI, w, ctx)
             assert pts, (w, pts)
 
 
 def test_synchronization_points_nu(nu_word, p_word):
-    ctx = FactorSet(p_word[:20000])
-    fs = FactorSet(nu_word[:3000])
+    ctx = p_word[:20000]
     for n in (2, 3, 7, 16, 33):
-        for w in sorted(fs.of_length(n)):
+        for w in sorted(factors(nu_word[:3000], n)):
             pts = synchronization_points(NU, w, ctx)
             assert pts, (w, n)
     # length-1 factors need not synchronize: 1 parses at distinct cuts
@@ -164,12 +163,11 @@ def test_synchronization_points_nu(nu_word, p_word):
 
 
 def test_synchronization_points_mu(mu_word, p_word):
-    ctx = FactorSet(p_word[:20000])
-    fs = FactorSet(mu_word[:2500])
+    ctx = p_word[:20000]
     for n in (6, 7, 11, 20):
-        for w in sorted(fs.of_length(n)):
+        for w in sorted(factors(mu_word[:2500], n)):
             pts = synchronization_points(MU, w, ctx)
             assert pts, (w, n)
     # below the threshold some factor fails
-    short = sorted(fs.of_length(4))
+    short = sorted(factors(mu_word[:2500], 4))
     assert any(synchronization_points(MU, w, ctx) == [] for w in short)

@@ -13,9 +13,9 @@ from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             ExhaustionCertificate, Inconclusive, Reached,
                             SearchConstraints, SymmetryError, count_words,
                             estimate_growth, extendable_middles,
-                            factor_equivalence, prove_preimage_forbidden,
-                            replay_proof, run_preimage_family, search)
-from palfree.words import ALPHABETS, palindrome_count
+                            prove_preimage_forbidden, replay_proof,
+                            run_preimage_family, search)
+from palfree.words import ALPHABETS, factors, palindrome_count
 
 F = Fraction
 
@@ -278,10 +278,9 @@ def test_preimage_requires_injective():
 
 
 def test_factor_equivalence_trivial():
-    res = factor_equivalence(SearchConstraints(2, None, None, ("00", "11")),
-                             "01" * 50, 5)
-    assert res.matched
-    assert res.searched == 2
+    middles, _stats = extendable_middles(SearchConstraints(2, None, None, ("00", "11")),
+                                         5, 5)
+    assert middles == factors("01" * 50, 5) == {"01010", "10101"}
 
 
 def test_ternary_family_registry():
@@ -300,7 +299,7 @@ def test_factor_equivalence_image_languages():
     for kind, key in (("mu_p", "mu"), ("nu_p", "nu")):
         c = SearchConstraints(2, ExponentBound.parse("3"), None,
                               IMAGE_FORBIDDEN[key])
-        ref = named_stream(kind).prefix(200000)
-        res = factor_equivalence(c, ref, 30)
-        assert res.matched, (kind, res.only_search[:3], res.only_reference[:3])
-        assert res.searched == res.reference_count > 50
+        ref = factors(named_stream(kind).prefix(200000), 30)
+        middles, _stats = extendable_middles(c, 30, 30)
+        assert middles == ref, (kind, sorted(middles - ref)[:3], sorted(ref - middles)[:3])
+        assert len(ref) > 50

@@ -5,14 +5,16 @@ import pytest
 
 from conftest import special_factor_oracle
 from palfree.morphisms import Morphism, load_morphism
-from palfree.structure import (FAMILIES, TARGET_RATIO, _bispecials_in, _complexity_in,
+from palfree.runs import max_stretch_ratio
+from palfree.structure import (TARGET_RATIO, _bispecials_in, _complexity_in,
                                bispecial_enumerate, critical_exponent_via_bispecials,
-                               exact_family_ratios, expected_shortest_return_length,
+                               early_member_ratios, exact_family_ratios,
+                               expected_shortest_return_length,
                                extension_profile, factor_complexity,
                                family_bispecial, family_ratio_analysis,
                                MorphicStream, length_sequence, named_stream,
                                paper_display_checks, return_words,
-                               sequence_solver, structural_exponent, tail_bound,
+                               structural_exponent, tail_bound,
                                asymptotic_exponent)
 
 F = Fraction
@@ -310,17 +312,29 @@ def test_enumerated_bispecials_match_family_forms(nu_stream, mu_stream):
 
 
 def test_shortest_return_lengths_match_parikh_forms(p_stream, nu_stream, mu_stream):
+    """Every member from n = 0 on, family A's member 0 (return power -1)
+    included."""
     streams = {"p": p_stream, "nu_p": nu_stream, "mu_p": mu_stream}
     for kind in ("p", "nu_p", "mu_p"):
         for fam in "ABCD":
-            start = 1 if (fam == "A" and kind == "mu_p") else 0
-            for n in range(start, 4):
+            for n in range(4):
                 w = family_bispecial(kind, fam, n)
                 if len(w) > 250:
                     continue
                 got = len(return_words(w, streams[kind]).shortest())
                 assert got == expected_shortest_return_length(kind, fam, n), \
                     (kind, fam, n)
+
+
+def test_family_A_member_0_is_a_ratio_candidate(nu_stream, mu_stream):
+    """A's member 0 comes before ratio 0; its candidate is |w| / |shortest
+    return| as return_words measures it.  No other family has such a member."""
+    for kind, stream, want in (("nu_p", nu_stream, ("1001", F(4, 3))),
+                               ("mu_p", mu_stream, ("100101", F(6, 5)))):
+        assert early_member_ratios(kind, "A") == [want]
+        w, ratio = want
+        assert ratio == F(len(w), len(return_words(w, stream).shortest()))
+        assert all(early_member_ratios(kind, fam) == [] for fam in "BCD")
 
 
 @pytest.mark.parametrize("fam, n", [("A", 0), ("A", 1), ("B", 0)])
@@ -338,17 +352,10 @@ def test_asymptotic_exponent_shared():
         asymptotic_exponent("fibonacci")
 
 
-def test_sequence_solver_interface():
-    cc = sequence_solver((6, 10, 17))
-    assert cc.seeds == (6, 10, 17)
-    ints = cc.recurrence_values(12)
-    for n in (0, 5, 12):
-        assert cc.evaluate(n).contains(ints[n])
-
-
 @pytest.mark.slow
 def test_empirical_asymptotic_trend():
-    from palfree.structure import empirical_asymptotic
-    emp = empirical_asymptotic("p", 200000, 50)
+    """The largest exponent among repetitions of period >= 50 in a long
+    prefix is close to the asymptotic exponent."""
+    ln, p, _ = max_stretch_ratio(named_stream("p").prefix(200000), 50)
     ref = asymptotic_exponent("p")
-    assert abs(F(emp) - ref.mid) < F(2, 100)
+    assert abs(F(ln, p) - ref.mid) < F(2, 100)

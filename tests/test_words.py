@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
-from palfree.words import (FactorSet, complement, factors, palindrome_count,
-                           palindrome_set, parikh, read_words, reverse,
-                           write_words)
+from palfree.words import (complement, factors, palindrome_count, palindrome_set,
+                           parikh, reverse)
 
 binary = st.text(alphabet="01", max_size=60)
 quaternary = st.text(alphabet="0123", max_size=50)
@@ -119,17 +118,10 @@ def test_eertree_undo_random():
 
 
 def test_factor_set_wrapper(p_word):
-    fs = FactorSet(p_word[:1000])
-    assert fs.count(2) == 5
-    assert "02" in fs
-    assert "20" not in fs
-    # factorial closure: subfactors of stored factors are factors
-    for w in fs.of_length(6):
-        assert w[1:] in fs and w[:-1] in fs
-
-
-def test_word_io_roundtrip(tmp_path):
-    words = ["0", "01", "0101", "2103"]
-    path = tmp_path / "words.txt"
-    write_words(path, words)
-    assert read_words(path) == sorted(words)
+    text = p_word[:1000]
+    assert len(factors(text, 2)) == 5
+    assert "02" in text
+    assert "20" not in text
+    # factorial closure: subfactors of factors are factors
+    for w in factors(text, 6):
+        assert w[1:] in text and w[:-1] in text

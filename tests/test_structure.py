@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import special_factor_oracle
+from palfree.cubic import solve_sequence
 from palfree.morphisms import Morphism, load_morphism
 from palfree.runs import max_stretch_ratio
 from palfree.structure import (TARGET_RATIO, _bispecials_in, _complexity_in,
@@ -341,6 +342,16 @@ def test_family_A_member_0_is_a_ratio_candidate(nu_stream, mu_stream):
 def test_shortest_return_length_rejects_unknown_kind(fam, n):
     with pytest.raises(ValueError, match="kind must be p, nu_p or mu_p"):
         expected_shortest_return_length("xyz", fam, n)
+
+
+def test_sequence_solver_interface():
+    """solve_sequence keeps the seeds of nu_p's length sequence over 012, and
+    its closed form contains the integer terms length_sequence gives."""
+    ints = length_sequence("nu_p", "012", 12)
+    cc = solve_sequence(tuple(ints[:3]))
+    assert cc.seeds == (6, 10, 17)
+    for n in (0, 5, 12):
+        assert cc.evaluate(n).contains(ints[n])
 
 
 def test_asymptotic_exponent_shared():

@@ -26,10 +26,6 @@ from .repetition import ExponentBound, critical_exponent, is_free
 from .words import palindrome_count, reverse
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("PALFREE_JOBS", os.cpu_count() or 1))
-
-
 def _bound_from_args(exp: str | None, strict: str | None) -> ExponentBound | None:
     if exp in (None, "", "none", "inf"):
         return None
@@ -136,8 +132,7 @@ def cert_preimage(morphism: str, family: str | None, target: str | None) -> Cert
         if target not in order:
             raise ValueError(f"{target} is not in the shipped forbidden family")
         known = order[:order.index(target)]
-        log = search_mod.prove_preimage_forbidden(
-            m, target, image_forbidden, known, morphism_name=morphism)
+        log = search_mod.prove_preimage_forbidden(m, target, image_forbidden, known)
         logs = [log] if log else []
         failed = None if log else target
     else:
@@ -408,8 +403,6 @@ GREEN_ANCHORS = {name: (budget, ExponentBound.parse(target).threshold)
 RED_CELLS = {
     (18, Fraction(28, 11)): "mu_p",
     (20, Fraction(5, 2)): "nu_p",
-    (9, None): "001011",
-    (10, None): "001011",
 }
 
 COLUMNS = [Fraction(2), Fraction(7, 3), Fraction(5, 2), Fraction(28, 11),
@@ -450,15 +443,14 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
         cert.outcome = sub.outcome if budget <= p else FAIL
     elif cls == "red" and detail in ("mu_p", "nu_p"):
         cert.put("witness-word", detail)
-        expect = {"mu_p": 18, "nu_p": 20}[detail]
-        pal = cert_palindromes(detail, 100000, expect)
+        pal = cert_palindromes(detail, 100000, p)
         cert.put("palindrome-outcome", pal.outcome)
         exp = cert_exponent(detail, "empirical", 100000, 0,
                             str(bfrac), None)
         cert.put("exponent-outcome", exp.outcome)
         cert.put("palindromes", pal.evidence["count"])
         cert.put("critical-exponent", exp.evidence["critical-exponent"])
-        ok = pal.outcome == PASS and exp.outcome == PASS and expect <= p
+        ok = pal.outcome == PASS and exp.outcome == PASS
         cert.outcome = PASS if ok else FAIL
     elif cls == "red":
         word = detail * (2000 // len(detail))
@@ -585,7 +577,7 @@ COMMANDS = {
         _flag("--word", required=True, type=_stream_name),
         _flag("--method", choices=("empirical", "bispecial", "closed-form"),
               default="empirical"),
-        _flag("--prefix", when=lambda a: a.method == "empirical", type=_int_at_least(0),
+        _flag("--prefix", when=lambda a: a.method == "empirical", type=_int_at_least(1),
               default=100000),
         _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
               help="ignored: the bispecial method uses its own limit"),
@@ -599,12 +591,12 @@ COMMANDS = {
     ]),
     "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
         _flag("--word", required=True, type=_stream_name),
-        _flag("--prefix", type=_int_at_least(0), default=100000),
+        _flag("--prefix", type=_int_at_least(1), default=100000),
         _flag("--expect", type=int),
     ]),
     "splice": ("the glued word around 010110", cert_splice, [
         _flag("--prefix", type=_int_at_least(0), default=100000),
-        _flag("--center", type=int, default=200),
+        _flag("--center", type=_int_at_least(6), default=200),
     ]),
     "table1": ("classify and verify one cell", cert_table1, [
         _flag("--p", type=int, required=True),
@@ -631,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
 
     s = sub.add_parser("verify-all", help="run the built-in verification battery")
-    s.add_argument("--jobs", type=int, default=_default_jobs())
+    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     s.add_argument("--deep", action="store_true",
                    help="include the ell=78 strong-component run (minutes)")
     s.add_argument("--out-dir")

@@ -85,35 +85,14 @@ def trim_to_essential(arcs) -> frozenset[str]:
         arcs = keep
 
 
-def weak_components(g: RauzyGraph) -> list[RauzyGraph]:
-    """Partition of the arcs into weakly connected components, sorted by
-    lexicographically least arc."""
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for w in g.arcs:
-        u, v = w[:-1], w[1:]
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[str, list[str]] = {}
-    for w in sorted(g.arcs):
-        groups.setdefault(find(w[:-1]), []).append(w)
-    comps = [RauzyGraph.from_arcs(arcs) for arcs in groups.values()]
-    return sorted(comps, key=RauzyGraph.least_arc)
-
-
-def strong_components(g: RauzyGraph) -> list[RauzyGraph]:
+def components(g: RauzyGraph, mode: str) -> list[RauzyGraph]:
     """Arc sets of the strongly connected components (arcs whose endpoints
-    share an SCC); components without internal arcs are dropped.  Sorted by
-    lexicographically least arc."""
+    share an SCC), by Tarjan's pass; components without internal arcs are
+    dropped.  In weak mode every arc also counts reversed, so the SCCs of
+    that symmetric graph are the weakly connected components and every arc
+    falls in one.  Sorted by lexicographically least arc."""
+    if mode not in ("weak", "strong"):
+        raise ValueError(f"mode must be 'weak' or 'strong', not {mode!r}")
     adj: dict[str, list[str]] = {}
     verts: set[str] = set()
     for w in g.arcs:
@@ -121,6 +100,8 @@ def strong_components(g: RauzyGraph) -> list[RauzyGraph]:
         verts.add(u)
         verts.add(v)
         adj.setdefault(u, []).append(v)
+        if mode == "weak":
+            adj.setdefault(v, []).append(u)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     onstack: set[str] = set()
@@ -174,14 +155,6 @@ def strong_components(g: RauzyGraph) -> list[RauzyGraph]:
             groups.setdefault(comp_of[u], []).append(w)
     comps = [RauzyGraph.from_arcs(arcs) for arcs in groups.values()]
     return sorted(comps, key=RauzyGraph.least_arc)
-
-
-def components(g: RauzyGraph, mode: str) -> list[RauzyGraph]:
-    if mode == "weak":
-        return weak_components(g)
-    if mode == "strong":
-        return strong_components(g)
-    raise ValueError(f"mode must be 'weak' or 'strong', not {mode!r}")
 
 
 @dataclass

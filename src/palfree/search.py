@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eertree import Eertree
-from .repetition import ExponentBound, IncrementalFreeChecker
+from .repetition import ExponentBound, IncrementalFreeChecker, is_free
 from .words import ALPHABETS
 
 LONGEST_KEPT = 16
@@ -140,20 +140,16 @@ class ConstraintState:
 
 @dataclass
 class ExhaustionCertificate:
-    constraints: SearchConstraints
     max_depth_reached: int
     nodes_visited: int
     longest_words: list[str]
     longest_count: int
-    symmetry_reduced: bool
-    depth_cap: int
 
 
 @dataclass
 class Reached:
     witness: str
     nodes_visited: int
-    symmetry_reduced: bool
 
 
 @dataclass
@@ -161,7 +157,6 @@ class Inconclusive:
     frontier: list[str]
     max_depth_reached: int
     nodes_visited: int
-    symmetry_reduced: bool
 
 
 class Walk:
@@ -274,11 +269,11 @@ def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
         roots = list(frontier)
     rest = walk.run(roots)
     if witness is not None:
-        return Reached(witness, walk.nodes, symmetry)
+        return Reached(witness, walk.nodes)
     if rest is not None:
-        return Inconclusive(rest, max_depth, walk.nodes, symmetry)
-    return ExhaustionCertificate(c, max_depth, walk.nodes, sorted(longest),
-                                 longest_count, symmetry, depth_cap)
+        return Inconclusive(rest, max_depth, walk.nodes)
+    return ExhaustionCertificate(max_depth, walk.nodes, sorted(longest),
+                                 longest_count)
 
 
 def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int]:
@@ -353,7 +348,6 @@ class ProofNode:
 
 @dataclass
 class ProofLog:
-    morphism_name: str
     target: str
     known_forbidden: tuple[str, ...]
     root: ProofNode | ProofLeaf
@@ -371,46 +365,44 @@ class ProofLog:
         return sz(self.root)
 
 
-def _image_refutation(m, w: str, image_forbidden, image_bound: ExponentBound):
+# both sides of a pre-image proof are cube-free
+CUBE_FREE = ExponentBound(Fraction(3), strict=False)
+
+
+def _image_refutation(m, w: str, image_forbidden):
     img = m.apply(w)
     for f in image_forbidden:
         if f in img:
             return ("image-forbidden", f"{f} in {img}")
-    from .repetition import is_free
-    v = is_free(img, image_bound)
+    v = is_free(img, CUBE_FREE)
     if v is not None:
         return ("image-exponent", f"{img} contains {v}")
     return None
 
 
-def _source_refutation(w: str, known_forbidden, source_bound: ExponentBound):
+def _source_refutation(w: str, known_forbidden):
     for f in known_forbidden:
         if f in w:
             return ("source-forbidden", f)
-    from .repetition import is_free
-    v = is_free(w, source_bound)
+    v = is_free(w, CUBE_FREE)
     if v is not None:
         return ("source-exponent", str(v))
     return None
 
 
 def prove_preimage_forbidden(m, target: str, image_forbidden, known_forbidden,
-                             image_bound: ExponentBound | None = None,
-                             source_bound: ExponentBound | None = None,
-                             max_depth: int = 16, node_budget: int = 2_000_000,
-                             morphism_name: str = "") -> ProofLog | None:
+                             max_depth: int = 16,
+                             node_budget: int = 2_000_000) -> ProofLog | None:
     """Refute the hypothesis that target occurs in a bi-infinite source word
-    whose image is image_bound-free and avoids image_forbidden.
+    whose image is cube-free and avoids image_forbidden.
 
     A word is refuted when its image violates the image constraints, or when
-    on one side every one-letter extension is dead: it contains a cube-like
-    violation of source_bound, contains an already-refuted factor, or is
-    refuted recursively.  Returns the proof tree, or None within the budget.
+    on one side every one-letter extension is dead: it contains a cube,
+    contains an already-refuted factor, or is refuted recursively.  Returns
+    the proof tree, or None within the budget.
     """
     if not m.is_injective():
         raise ValueError("pre-image arguments need an injective morphism")
-    image_bound = image_bound or ExponentBound(Fraction(3), strict=False)
-    source_bound = source_bound or ExponentBound(Fraction(3), strict=False)
     image_forbidden = tuple(image_forbidden)
     known_forbidden = tuple(known_forbidden)
     examined = 0
@@ -422,7 +414,7 @@ def prove_preimage_forbidden(m, target: str, image_forbidden, known_forbidden,
         examined += 1
         if examined > node_budget:
             return None
-        r = _image_refutation(m, w, image_forbidden, image_bound)
+        r = _image_refutation(m, w, image_forbidden)
         if r is not None:
             leaf = ProofLeaf(w, *r)
             memo[w] = leaf
@@ -434,7 +426,7 @@ def prove_preimage_forbidden(m, target: str, image_forbidden, known_forbidden,
             all_dead = True
             for c in ALPHABETS[m.source_size]:
                 w2 = w + c if side == "right" else c + w
-                pr = _source_refutation(w2, known_forbidden, source_bound)
+                pr = _source_refutation(w2, known_forbidden)
                 if pr is not None:
                     kids.append(ProofLeaf(w2, *pr))
                     continue
@@ -453,24 +445,18 @@ def prove_preimage_forbidden(m, target: str, image_forbidden, known_forbidden,
     for d in range(1, max_depth + 1):
         root = prove(target, d, {})
         if root is not None:
-            return ProofLog(morphism_name, target, known_forbidden, root, d, examined)
+            return ProofLog(target, known_forbidden, root, d, examined)
     return None
 
 
-def replay_proof(log: ProofLog, m, image_forbidden,
-                 image_bound: ExponentBound | None = None,
-                 source_bound: ExponentBound | None = None) -> bool:
+def replay_proof(log: ProofLog, m, image_forbidden) -> bool:
     """Re-verify every node of a proof tree against the stated constraints."""
-    image_bound = image_bound or ExponentBound(Fraction(3), strict=False)
-    source_bound = source_bound or ExponentBound(Fraction(3), strict=False)
 
     def check(node) -> bool:
         if isinstance(node, ProofLeaf):
             if node.reason.startswith("image"):
-                return _image_refutation(m, node.word, image_forbidden,
-                                         image_bound) is not None
-            return _source_refutation(node.word, log.known_forbidden,
-                                      source_bound) is not None
+                return _image_refutation(m, node.word, image_forbidden) is not None
+            return _source_refutation(node.word, log.known_forbidden) is not None
         # internal node: children must be exactly the extensions on one side
         expect = {(c + node.word if node.side == "left" else node.word + c)
                   for c in ALPHABETS[m.source_size]}
@@ -493,7 +479,7 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
     with letter 0 are walked and the result is closed under letter
     permutations; it raises SymmetryError unless c.permutation_invariant().
 
-    Returns (middles, stats) or raises BudgetExceeded with a frontier.
+    Returns (middles, stats), or raises BudgetExceeded with the stats.
     """
     if symmetry:
         _require_invariant(c)
@@ -513,7 +499,7 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
     stats["nodes"] = walk.nodes
     if rest is not None:
         stats["nodes"] += 1  # the refused attempt counts
-        raise BudgetExceeded(middles, stats)
+        raise BudgetExceeded(stats)
     if symmetry:
         middles = {w.translate(t) for t in _letter_permutations(c.alphabet_size)
                    for w in middles}
@@ -521,9 +507,8 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, partial, stats):
+    def __init__(self, stats):
         super().__init__("node budget exceeded")
-        self.partial = partial
         self.stats = stats
 
 
@@ -550,8 +535,7 @@ REFUTATION_ORDER = {
 FAMILY_NAMES = {"mu": "F18", "nu": "F20"}
 
 
-def run_preimage_family(morphism_name: str, max_depth: int = 16,
-                        node_budget: int = 2_000_000):
+def run_preimage_family(morphism_name: str):
     """Refute every member of the ternary forbidden family for one image
     morphism, in the shipped sequential order; returns the list of ProofLogs."""
     from .morphisms import load_morphism
@@ -560,10 +544,7 @@ def run_preimage_family(morphism_name: str, max_depth: int = 16,
     logs = []
     known: list[str] = []
     for target in REFUTATION_ORDER[morphism_name]:
-        log = prove_preimage_forbidden(m, target, image_forbidden, tuple(known),
-                                       max_depth=max_depth,
-                                       node_budget=node_budget,
-                                       morphism_name=morphism_name)
+        log = prove_preimage_forbidden(m, target, image_forbidden, tuple(known))
         if log is None:
             return logs, target
         logs.append(log)

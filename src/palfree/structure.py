@@ -109,7 +109,6 @@ class ExtensionProfile:
     left: frozenset[str]
     right: frozenset[str]
     bi: frozenset[tuple[str, str]]
-    stabilized_at: int = 0
 
     @property
     def b(self) -> int:
@@ -141,34 +140,32 @@ def _profile_in(text: str, w: str) -> ExtensionProfile:
     return ExtensionProfile(w, frozenset(left), frozenset(right), frozenset(bi))
 
 
-def _stabilized(compute, stream: Stream, L: int, what: str):
-    """Compute on the prefixes of length L and 2L, doubling L until the two
-    results agree; returns (the result at 2L, 2L).  Raises RuntimeError
-    naming what once L passes PREFIX_CAP."""
+def _stabilized(compute, stream: Stream, what: str):
+    """Compute on the prefixes of length L and 2L, from L = DEFAULT_PREFIX,
+    doubling L until the two results agree; returns the result at 2L.
+    Raises RuntimeError naming what once L passes PREFIX_CAP."""
+    L = DEFAULT_PREFIX
     while True:
         a = compute(stream.prefix(L))
         b = compute(stream.prefix(2 * L))
         if a == b:
-            return b, 2 * L
+            return b
         L *= 2
         if L > PREFIX_CAP:
             raise RuntimeError(f"{what} did not stabilize")
 
 
-def extension_profile(w: str, stream: Stream, L: int = DEFAULT_PREFIX) -> ExtensionProfile:
+def extension_profile(w: str, stream: Stream) -> ExtensionProfile:
     """Extensions of w from all occurrences in a prefix, accepted only when
     doubling the prefix reproduces the same profile."""
-    profile, at = _stabilized(lambda text: _profile_in(text, w), stream, L,
-                              f"extension profile of {w!r}")
-    profile.stabilized_at = at
-    return profile
+    return _stabilized(lambda text: _profile_in(text, w), stream,
+                       f"extension profile of {w!r}")
 
 
 @dataclass
 class ReturnWordSet:
     word: str
     returns: frozenset[str]
-    stabilized_at: int
 
     def shortest(self) -> str:
         return min(sorted(self.returns), key=len)
@@ -181,9 +178,9 @@ def _returns_in(text: str, w: str) -> frozenset[str]:
     return frozenset(text[occ[i]:occ[i + 1]] for i in range(len(occ) - 1))
 
 
-def return_words(w: str, stream: Stream, L: int = DEFAULT_PREFIX) -> ReturnWordSet:
-    return ReturnWordSet(w, *_stabilized(lambda text: _returns_in(text, w),
-                                         stream, L, f"return words of {w!r}"))
+def return_words(w: str, stream: Stream) -> ReturnWordSet:
+    return ReturnWordSet(w, _stabilized(lambda text: _returns_in(text, w),
+                                        stream, f"return words of {w!r}"))
 
 
 def _right_special_levels(text: str, max_len: int):
@@ -237,15 +234,11 @@ def _bispecials_in(text: str, max_len: int) -> list[ExtensionProfile]:
     return out
 
 
-def bispecial_enumerate(stream: Stream, max_len: int,
-                        L: int = DEFAULT_PREFIX) -> list[ExtensionProfile]:
+def bispecial_enumerate(stream: Stream, max_len: int) -> list[ExtensionProfile]:
     """All non-empty bispecial factors of length <= max_len, profiles
     stabilization-checked against a doubled prefix."""
-    profiles, at = _stabilized(lambda text: _bispecials_in(text, max_len),
-                               stream, L, "bispecial enumeration")
-    for x in profiles:
-        x.stabilized_at = at
-    return profiles
+    return _stabilized(lambda text: _bispecials_in(text, max_len), stream,
+                       "bispecial enumeration")
 
 
 def _complexity_in(text: str, max_n: int) -> list[int]:
@@ -257,12 +250,12 @@ def _complexity_in(text: str, max_n: int) -> list[int]:
     return counts[:max_n + 1]
 
 
-def factor_complexity(stream: Stream, max_n: int, L: int = DEFAULT_PREFIX) -> list[int]:
+def factor_complexity(stream: Stream, max_n: int) -> list[int]:
     """C(n) for n = 0..max_n via right-special extension counts
     (C(n+1) - C(n) = sum over right-special length-n factors of
     (#right extensions - 1)), stabilization-checked."""
-    return _stabilized(lambda text: _complexity_in(text, max_n), stream, L,
-                       "factor complexity")[0]
+    return _stabilized(lambda text: _complexity_in(text, max_n), stream,
+                       "factor complexity")
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +320,12 @@ def family_bispecial(kind: str, fam: str, n: int) -> str:
 
 
 def family_members(kind: str, max_len: int) -> dict[str, tuple[str, int]]:
-    """Every family word of at most max_len letters -> (family, n).  A word
-    listed in SHORT_BISPECIAL_RATIOS (mu_p's A at n = 0) is left to it."""
-    short = SHORT_BISPECIAL_RATIOS.get(kind, {})
+    """Every family word of at most max_len letters -> (family, n)."""
     members = {}
     for fam in FAMILY_TABLE:
         n = 0
         while len(w := family_bispecial(kind, fam, n)) <= max_len:
-            if w not in short:
-                members[w] = (fam, n)
+            members[w] = (fam, n)
             n += 1
     return members
 
@@ -386,8 +376,7 @@ SHORT_BISPECIAL_RATIOS = {
              "10": Fraction(1)},
     "mu_p": {"0": Fraction(1), "1": Fraction(1), "01": Fraction(1),
              "10": Fraction(1), "010": Fraction(3, 2), "1001": Fraction(1),
-             "011001": Fraction(3, 2), "100101": Fraction(6, 5),
-             "01100101": Fraction(4, 3)},
+             "011001": Fraction(3, 2), "01100101": Fraction(4, 3)},
 }
 
 
@@ -406,16 +395,15 @@ def exact_family_ratios(kind: str, fam: str, N: int) -> list[Fraction]:
 
 @dataclass
 class TailBound:
-    family: str
     n0: int
     holds: bool
-    coeff: str
-    lhs: str
-    rhs_at_n0: str
     precision: float
 
 
-def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
+TAIL_WIDTH = Fraction(1, 10 ** 16)
+
+
+def tail_bound(kind: str, fam: str) -> TailBound:
     """Interval proof that family ratios stay <= the target for all j >= n0.
 
     With s_m = A b^m + 2 Re(B l^m), the claim (K + sum_{k<=j} s_{m0+2k})
@@ -427,7 +415,8 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
     m0 = FAMILY_TABLE[fam].m0
     T = TARGET_RATIO[kind]
     tn, td = T.numerator, T.denominator
-    consts = solve_sequence(tuple(length_sequence(kind, FAMILY_TABLE[fam].base, 2)), width)
+    consts = solve_sequence(tuple(length_sequence(kind, FAMILY_TABLE[fam].base, 2)),
+                            TAIL_WIDTH)
     beta, A, B = consts.beta, consts.A, consts.B
     b2 = beta * beta
     lam = consts.lam()
@@ -437,7 +426,7 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
     Babs = B.abs()
     coeff = (tn - td) - td / (b2 - 1)
     if not Interval(0).certainly_lt(coeff):
-        return TailBound(fam, -1, False, repr(coeff), "", "", float(width))
+        return TailBound(-1, False, float(TAIL_WIDTH))
 
     def pw(iv, k):
         out = Interval(1)
@@ -454,51 +443,49 @@ def tail_bound(kind: str, fam: str, width=Fraction(1, 10 ** 16)) -> TailBound:
                + 2 * (tn - td) * Babs * lam_m0 * lam_2n0)
         rhs = A * pw(beta, m0 + 2 * n0) * coeff
         if lhs.certainly_leq(rhs):
-            return TailBound(fam, n0, True, repr(coeff), repr(lhs), repr(rhs),
-                             float(max(lhs.width, rhs.width)))
-    return TailBound(fam, -1, False, repr(coeff), repr(lhs), repr(rhs),
-                     float(max(lhs.width, rhs.width)))
+            return TailBound(n0, True, float(max(lhs.width, rhs.width)))
+    return TailBound(-1, False, float(max(lhs.width, rhs.width)))
 
 
 @dataclass
 class FamilyRatioReport:
-    kind: str
-    family: str
     sup: Fraction
     sup_index: int | str
     bounded_by_target: bool
     tail: TailBound | None
 
 
-def family_ratio_analysis(kind: str, family: str, N: int = 30) -> FamilyRatioReport:
-    """Exact ratios for the first N family members from ratio 0 on, plus the
-    members before it and the interval tail verdict; family "F" covers the
-    short bispecial factors."""
+# family members from ratio 0 on whose ratios are computed exactly
+EXACT_MEMBERS = 30
+
+
+def family_ratio_analysis(kind: str, family: str) -> FamilyRatioReport:
+    """Exact ratios for the first EXACT_MEMBERS family members from ratio 0
+    on, plus the members before it and the interval tail verdict; family "F"
+    covers the short bispecial factors."""
     T = TARGET_RATIO[kind]
     if family == "F":
         ratios = SHORT_BISPECIAL_RATIOS[kind]
         sup = max(ratios.values())
         witness = min(w for w, r in ratios.items() if r == sup)
-        return FamilyRatioReport(kind, "F", sup, witness, sup <= T, None)
+        return FamilyRatioReport(sup, witness, sup <= T, None)
     tail = tail_bound(kind, family)
-    exact = exact_family_ratios(kind, family, max(N, tail.n0))
+    exact = exact_family_ratios(kind, family, max(EXACT_MEMBERS, tail.n0))
     candidates = list(enumerate(exact)) + early_member_ratios(kind, family)
     sup_index, sup = max(candidates, key=lambda t: t[1])
     ok = sup <= T and tail.holds and all(r <= T for r in exact)
-    return FamilyRatioReport(kind, family, sup, sup_index, ok, tail)
+    return FamilyRatioReport(sup, sup_index, ok, tail)
 
 
 @dataclass
 class StructuralExponent:
-    kind: str
     exponent: Fraction
     witness_word: str
     witness_ratio: Fraction
     families: dict[str, FamilyRatioReport]
 
 
-def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
-                                     L: int = DEFAULT_PREFIX):
+def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500):
     """1 + max |w|/|shortest return| over enumerated bispecial factors,
     with the maximizing witness.  Requires an aperiodic uniformly recurrent
     stream (periodic streams are rejected)."""
@@ -512,22 +499,22 @@ def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500,
             break
     else:
         raise ValueError("stream looks eventually periodic")
-    profiles = bispecial_enumerate(stream, max_bs_len, L)
+    profiles = bispecial_enumerate(stream, max_bs_len)
     best = (Fraction(0), "")
     for prof in profiles:
-        rw = return_words(prof.word, stream, L)
+        rw = return_words(prof.word, stream)
         ratio = Fraction(len(prof.word), len(rw.shortest()))
         if ratio > best[0]:
             best = (ratio, prof.word)
     return 1 + best[0], best[1], best[0], profiles
 
 
-def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
+def structural_exponent(kind: str) -> StructuralExponent:
     """Assemble the exact critical exponent of one of the two binary images
     from the family analysis, cross-checked against enumeration."""
     if kind not in TARGET_RATIO:
         raise ValueError("structural exponent is computed for nu_p and mu_p")
-    reports = {fam: family_ratio_analysis(kind, fam, N)
+    reports = {fam: family_ratio_analysis(kind, fam)
                for fam in [*FAMILY_TABLE, "F"]}
     if not all(r.bounded_by_target for r in reports.values()):
         bad = [f for f, r in reports.items() if not r.bounded_by_target]
@@ -544,23 +531,24 @@ def structural_exponent(kind: str, N: int = 30) -> StructuralExponent:
     exponent = 1 + sup
     if E != exponent:
         raise ArithmeticError(f"enumeration ({E}) disagrees with families ({exponent})")
-    return StructuralExponent(kind, exponent, witness, sup, reports)
+    return StructuralExponent(exponent, witness, sup, reports)
 
 
-def asymptotic_exponent(kind: str, width=Fraction(1, 10 ** 12)) -> Interval:
+def asymptotic_exponent(kind: str) -> Interval:
     """1 + b^2/(b^2-1) for the Perron root b; the three words share it
     (the images are injective-morphic with synchronization points)."""
     if kind not in OUTER:
         raise ValueError("asymptotic exponent known for p, nu_p, mu_p only")
-    return cubic.asymptotic_exponent_value(width)
+    return cubic.asymptotic_exponent_value()
 
 
-def paper_display_checks(width=Fraction(1, 10 ** 13)) -> dict[str, bool]:
+def paper_display_checks() -> dict[str, bool]:
     """The eight literal tail displays from the source analysis, evaluated
     in interval arithmetic (historical record; the uniform tail_bound above
     is what the verdicts rest on).  One display (mu families, D) is known
     not to hold numerically even though its family is bounded."""
-    c1, c2, c3, c4 = (solve_sequence(tuple(length_sequence(kind, base, 2)), width)
+    c1, c2, c3, c4 = (solve_sequence(tuple(length_sequence(kind, base, 2)),
+                                     Fraction(1, 10 ** 13))
                       for kind in ("nu_p", "mu_p") for base in ("012", "01"))
     beta = c1.beta
     b2 = beta * beta

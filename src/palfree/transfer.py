@@ -8,13 +8,13 @@ a-free source tree with an incremental freeness test on the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 from .eertree import Eertree
 from .morphisms import Morphism, load_morphism
-from .repetition import ExponentBound, IncrementalFreeChecker
+from .repetition import ExponentBound, IncrementalFreeChecker, is_free
 from .search import Walk
 from .words import ALPHABETS
 
@@ -123,9 +123,7 @@ class ImageState:
 
 @dataclass
 class TransferResult:
-    instance: str
     q: int
-    synchronizing: bool
     threshold: Fraction
     depth: int
     words_checked: int
@@ -156,9 +154,8 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
 
     Walk(state, ALPHABETS[inst.source_alphabet], tdepth, visit).run([""])
     passed = violation_source is None
-    result = TransferResult(inst.name, q, True, t, tdepth, checked, passed)
+    result = TransferResult(q, t, tdepth, checked, passed)
     if not passed:
-        from .repetition import is_free
         result.violation_source = violation_source
         result.violation = str(is_free(inst.h.apply(violation_source),
                                        inst.target_bound))
@@ -167,15 +164,13 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
 
 @dataclass
 class PalindromeBudgetResult:
-    instance: str
     window: int
     count: int
     budget: int
     within_budget: bool
     cut_index: int | None
-    max_len: int
-    palindromes: list[str] = field(default_factory=list)
-    stabilized: bool = True
+    palindromes: list[str]
+    stabilized: bool
 
     @property
     def conclusive(self) -> bool:
@@ -224,8 +219,8 @@ def palindrome_cut_index(pals: set[str], horizon: int) -> int | None:
     return None
 
 
-def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
-                             keep_palindromes: bool = True) -> PalindromeBudgetResult:
+def verify_palindrome_budget(inst: TransferInstance,
+                             window: int | None = None) -> PalindromeBudgetResult:
     """Stabilized distinct-palindrome count of the image language (empty word
     included) compared against the claimed budget.
 
@@ -256,8 +251,7 @@ def verify_palindrome_budget(inst: TransferInstance, window: int | None = None,
     stabilized = all(d <= w for d in labels.values())
     count = len(pals) + 1  # the empty word
     return PalindromeBudgetResult(
-        instance=inst.name, window=w, count=count, budget=inst.claimed_palindromes,
+        window=w, count=count, budget=inst.claimed_palindromes,
         within_budget=count <= inst.claimed_palindromes, cut_index=cut,
-        max_len=max((len(p) for p in pals), default=0),
-        palindromes=sorted(pals, key=lambda p: (len(p), p)) if keep_palindromes else [],
+        palindromes=sorted(pals, key=lambda p: (len(p), p)),
         stabilized=stabilized)

@@ -86,8 +86,7 @@ def test_criterion_2_palindrome_budgets():
     counts = {}
     ok = True
     for name in shipped_instances():
-        res = verify_palindrome_budget(load_instance(name),
-                                       keep_palindromes=False)
+        res = verify_palindrome_budget(load_instance(name))
         counts[name] = res.count
         if not (res.count == EXPECTED_BUDGETS[name] and res.conclusive
                 and res.stabilized):

@@ -29,6 +29,7 @@ def test_classify_cells():
     assert classify_cell(18, F(28, 11)) == ("red", "mu_p")
     assert classify_cell(20, F(5, 2)) == ("red", "nu_p")
     assert classify_cell(9, None) == ("red", "001011")
+    assert classify_cell(10, None) == ("red", "001011")
     assert classify_cell(14, F(8, 3)) == ("empty", None)
     assert classify_cell(8, None) == ("empty", None)
     assert classify_cell(24, F(7, 3)) == ("empty", None)
@@ -276,14 +277,14 @@ COMMAND_LINES = [
      'structure --word nu_p --max-bs 0 --complexity-n 10'),
     ('palindromes --word 001011',
      'palindromes --word 001011 --prefix 100000'),
-    ('palindromes --word mu_p --prefix 0 --expect 0',
-     'palindromes --word mu_p --prefix 0 --expect 0'),
+    ('palindromes --word mu_p --prefix 1 --expect 0',
+     'palindromes --word mu_p --prefix 1 --expect 0'),
     ("palindromes --word ''",
      "palindromes --word '' --prefix 100000"),
     ('splice',
      'splice --prefix 100000 --center 200'),
-    ('splice --center 0 --prefix 5',
-     'splice --prefix 5 --center 0'),
+    ('splice --center 6 --prefix 0',
+     'splice --prefix 0 --center 6'),
     ('table1 --p 14 --beta 8/3 --cap 200 --nodes 0',
      'table1 --p 14 --beta 8/3 --cap 200 --nodes 0'),
     ('table1 --p 9 --beta inf',
@@ -324,11 +325,14 @@ def test_reference_certificates_render_their_command_lines():
     "table1-p10-b10_3", "table1-p14-b8_3", "table1-p17-b13_5", "table1-p17-b28_11",
     "optimality-pal8", "optimality-cubefree14",
     "exponent-nu-structural", "exponent-mu-structural", "structure-p",
+    "rauzy-mu", "preimage-mu", "preimage-nu", "transfer-thm3c",
 ])
 def test_reference_certificates_rerun_to_same_evidence(name):
     """The cheap reference certificates of the benchmark rerun to the same
     evidence: the search ones pin the nodes the walk visits, the structural
-    ones the family sups, witnesses, bispecials and return lengths."""
+    ones the family sups, witnesses, bispecials and return lengths, rauzy-mu
+    its weak components and orbits, the pre-image ones every proof tree and
+    the transfer one its depth, word count and palindromes."""
     want = read_certificate(REFERENCE_DIR / f"{name}.cert")
     assert run(want.command).comparable() == want.comparable()
 
@@ -392,16 +396,32 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     (["optimality", "--alphabet", "7"], "argument --alphabet: invalid choice: 7"),
     (["optimality", "--alphabet", "0"], "argument --alphabet: invalid choice: 0"),
     (["palindromes", "--word", "mu_p", "--prefix", "-5"],
-     "argument --prefix: must be at least 0, got -5"),
+     "argument --prefix: must be at least 1, got -5"),
     (["exponent", "--word", "mu_p", "--method", "empirical", "--prefix", "-5",
-      "--bound", "5/2"], "argument --prefix: must be at least 0, got -5"),
+      "--bound", "5/2"], "argument --prefix: must be at least 1, got -5"),
     (["splice", "--prefix", "-5"], "argument --prefix: must be at least 0, got -5"),
+    # an empty prefix would compare the empty word with itself
+    (["palindromes", "--word", "mu_p", "--prefix", "0", "--expect", "1"],
+     "argument --prefix: must be at least 1, got 0"),
+    (["exponent", "--word", "mu_p", "--prefix", "0", "--bound", "5/2"],
+     "argument --prefix: must be at least 1, got 0"),
+    # the central factor needs the whole six-letter glue
+    (["splice", "--center", "5"], "argument --center: must be at least 6, got 5"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_malformed_jobs_variable_is_not_read(monkeypatch, capsys):
+    """verify-all --jobs defaults to the core count, whatever PALFREE_JOBS
+    holds."""
+    monkeypatch.setenv("PALFREE_JOBS", "x")
+    assert main(["palindromes", "--word", "001011", "--prefix", "2000",
+                 "--expect", "9"]) == 0
+    assert "outcome: pass\n" in capsys.readouterr().out
 
 
 def test_transfer_walk_below_threshold_is_inconclusive(capsys):

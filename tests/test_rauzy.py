@@ -1,8 +1,7 @@
 import pytest
 
-from palfree.rauzy import (RauzyGraph, build_rauzy, components,
-                           strong_components, survivor_set, symmetry_orbits,
-                           trim_to_essential, weak_components)
+from palfree.rauzy import (RauzyGraph, build_rauzy, components, survivor_set,
+                           symmetry_orbits, trim_to_essential)
 from palfree.repetition import ExponentBound
 from palfree.words import complement, reverse
 
@@ -38,11 +37,27 @@ def test_components_modes():
 
 
 def test_strong_refines_weak():
-    g = RauzyGraph.of_word("001011001100101100110" * 3, 5)
-    weak = {a: i for i, c in enumerate(weak_components(g)) for a in c.arcs}
-    for comp in strong_components(g):
-        ids = {weak[a] for a in comp.arcs}
-        assert len(ids) == 1
+    # the second graph: cycles on 001 and 011 joined by the one-way bridge
+    # 0011, and a loop on 222 apart from both
+    two_pieces = (RauzyGraph.of_word("001" * 3, 4).arcs
+                  | RauzyGraph.of_word("011" * 3, 4).arcs | {"0011", "2222"})
+    for g, n_weak, n_strong in ((RauzyGraph.of_word("001011001100101100110" * 3, 5), 1, 1),
+                                (build_rauzy(two_pieces), 2, 3)):
+        weak_comps = components(g, "weak")
+        assert len(weak_comps) == n_weak
+        # the weak components' arcs partition the arcs ...
+        assert sum(len(c) for c in weak_comps) == len(g.arcs)
+        assert frozenset().union(*(c.arcs for c in weak_comps)) == g.arcs
+        # ... and their vertex sets are pairwise disjoint
+        for i, c in enumerate(weak_comps):
+            for d in weak_comps[i + 1:]:
+                assert not c.vertices & d.vertices
+        weak = {a: i for i, c in enumerate(weak_comps) for a in c.arcs}
+        strong = components(g, "strong")
+        assert len(strong) == n_strong
+        for comp in strong:
+            ids = {weak[a] for a in comp.arcs}
+            assert len(ids) == 1
 
 
 def test_survivor_set_binary_squarefree_is_empty():
@@ -85,7 +100,7 @@ def test_survivor_pipeline_small_instance(mu_word):
     bound = ExponentBound.parse("13/5")
     surv, stats = survivor_set(bound, 18, 20, margin=40)
     trimmed = trim_to_essential(surv)
-    comps = weak_components(build_rauzy(trimmed))
+    comps = components(build_rauzy(trimmed), "weak")
     assert len(comps) == 4
     assert {len(c) for c in comps} == {41}
     orb = symmetry_orbits(comps)

@@ -535,23 +535,23 @@ def _flag(name: str, when=None, **kw):
 COMMANDS = {
     "verify-morphism": ("freeness transfer + palindrome budget", cert_verify_morphism, [
         _flag("--instance", required=True, choices=transfer_mod.shipped_instances()),
-        _flag("--window", type=int),
+        _flag("--window", type=_int_at_least(0)),
         _flag("--depth", type=int),
     ]),
     "optimality": ("nonexistence search certificate", cert_optimality, [
         _flag("--alphabet", type=int, choices=range(1, 5), default=2),
         _flag("--exp", type=_exponent_bound_or_none),
         _flag("--strict", choices=("true", "false")),
-        _flag("--pal", type=int),
+        _flag("--pal", type=_int_at_least(1)),
         _flag("--cap", type=int, default=400),
         _flag("--nodes", type=int),
         _flag("--symmetry", action="store_true"),
         _flag("--forbid", action="append", default=[]),
     ]),
     "growth": ("exact counts and growth estimate", cert_growth, [
-        _flag("--pal", type=int, required=True),
+        _flag("--pal", type=_int_at_least(1), required=True),
         _flag("--max-n", type=_int_at_least(1), default=60),
-        _flag("--window", type=int),
+        _flag("--window", type=_int_at_least(2)),
         _flag("--expect", type=float),
         _flag("--tol", when=lambda a: a.expect is not None, type=float, default=0.01),
     ]),
@@ -563,10 +563,10 @@ COMMANDS = {
     "rauzy": ("survivor windows, components, comparison", cert_rauzy, [
         _flag("--exp", required=True, type=_exponent_bound_or_none),
         _flag("--strict", choices=("true", "false")),
-        _flag("--pal", type=int, required=True),
-        _flag("--ell", type=int, required=True),
+        _flag("--pal", type=_int_at_least(1), required=True),
+        _flag("--ell", type=_int_at_least(2), required=True),
         _flag("--mode", choices=("weak", "strong"), default="weak"),
-        _flag("--margin", type=int),
+        _flag("--margin", type=_int_at_least(0)),
         _flag("--trim", action="store_true"),
         _flag("--compare"),
         _flag("--select-avoiding"),
@@ -586,8 +586,8 @@ COMMANDS = {
     ]),
     "structure": ("bispecial factors, families, return words", cert_structure, [
         _flag("--word", required=True, type=_stream_name),
-        _flag("--max-bs", type=int, default=200),
-        _flag("--complexity-n", type=int, default=500),
+        _flag("--max-bs", type=_int_at_least(1), default=200),
+        _flag("--complexity-n", type=_int_at_least(1), default=500),
     ]),
     "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
         _flag("--word", required=True, type=_stream_name),

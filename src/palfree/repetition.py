@@ -180,22 +180,37 @@ class IncrementalFreeChecker:
     period d (need[d] <= m), so the candidates of a band lie more than P
     apart and number at most 3, and a push costs O(log n) Python steps.
     Wider bands mean fewer finds but more candidates; _BAND = 4 measured
-    fastest.
+    fastest.  Each band's constants are one row of _bands, added once when
+    _need first covers the band, so the table holds O(log n) rows and push
+    only unpacks them.
     """
 
-    __slots__ = ("bound", "buf", "n", "_need")
+    __slots__ = ("bound", "buf", "n", "_need", "_bands")
 
     def __init__(self, bound: ExponentBound):
         self.bound = bound
         self.buf = ""  # buf[:n] is the word; letters past n await reuse
         self.n = 0
         self._need: list[int] = [0]  # _need[p]: match-run making period p violate
+        # one row (m + P, m, P, _BAND * P + m - 1) per band [P, _BAND * P),
+        # m = _need[P]: the band is reached once n >= m + P, and its window of
+        # occurrences of the last m letters starts at n - (_BAND * P + m - 1)
+        self._bands: list[tuple[int, int, int, int]] = []
 
-    def _extend_need(self, upto: int) -> None:
+    def _extend_tables(self, upto: int) -> None:
+        """Extend _need to periods <= upto, and _bands to every band that
+        starts there; the rows' reach grows with P, so push stops at the first
+        row beyond the word."""
         need = self._need
         length = self.bound.min_violating_length
         # at least 1, since the threshold exceeds 1
         need.extend(length(q) - q for q in range(len(need), upto + 1))
+        bands = self._bands
+        P = _BAND * bands[-1][2] if bands else 1
+        while P <= upto:
+            m = need[P]
+            bands.append((m + P, m, P, _BAND * P + m - 1))
+            P *= _BAND
 
     def push(self, c: str) -> bool:
         n = self.n
@@ -205,16 +220,14 @@ class IncrementalFreeChecker:
         n = self.n = n + 1
         need = self._need
         if len(need) <= n:
-            self._extend_need(2 * n)
+            self._extend_tables(2 * n)
         find = buf.find
-        P = 1
-        while P < n:
-            m = need[P]
-            if m + P > n:
+        for reach, m, P, back in self._bands:
+            if reach > n:
                 break
             suffix = buf[n - m:n]
             end = n - P
-            s = n - _BAND * P - m + 1
+            s = n - back
             s = find(suffix, s if s > 0 else 0, end)
             while s >= 0:
                 p = n - m - s
@@ -222,7 +235,6 @@ class IncrementalFreeChecker:
                 if k == m or (k + p <= n and buf[n - k - p:n - p] == buf[n - k:n]):
                     return False
                 s = find(suffix, s + 1, end)
-            P *= _BAND
         return True
 
     def pop(self) -> None:

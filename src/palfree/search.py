@@ -93,34 +93,35 @@ class ConstraintState:
     """Push/pop state for all constraint kinds at once.
 
     A push runs the layers cheapest first and stops at the first that
-    refuses the letter: the palindrome budget (an Eertree), then the
-    exponent bound (an IncrementalFreeChecker), then the forbidden factors,
-    tested with str.endswith on text, the checker or, without an exponent
-    bound, a bare letter buffer.  A letter the budget refuses never reaches
-    text, so pop undoes text only when text is as long as the eertree; a
-    refused push must therefore be popped before the next push, as Walk
-    does.  The callers keep the words they walk."""
+    refuses the letter: the palindrome budget (an Eertree capped at the
+    budget), then the exponent bound (an IncrementalFreeChecker), then the
+    forbidden factors, tested with str.endswith on text, the checker or,
+    without an exponent bound, a bare letter buffer.  A letter the budget
+    refuses is appended nowhere, and the flag refused makes the pop that
+    follows it a no-op.  Every push, refused or not, is paired with one pop,
+    that of a refused push before the next push, as Walk does.  The callers
+    keep the words they walk."""
+
+    __slots__ = ("tree", "forbidden", "text", "refused")
 
     def __init__(self, c: SearchConstraints):
-        self.c = c
         budget = c.palindrome_budget
-        self.tree = Eertree() if budget is not None else None
         # Eertree nodes allowed: both roots plus budget - 1 non-empty palindromes
-        self.node_limit = budget + 1 if budget is not None else None
+        self.tree = Eertree(budget + 1) if budget is not None else None
         self.forbidden = tuple(c.forbidden_factors)
         if c.exponent:
             self.text = IncrementalFreeChecker(c.exponent)
         else:
             self.text = _Letters() if self.forbidden else None
+        self.refused = False  # the last push was refused by the budget
 
     def push(self, ch: str) -> bool:
         """Append ch; False when the extension violates a constraint.
         Always pair with pop(), before the next push when refused."""
         tree = self.tree
-        if tree is not None:
-            tree.push(ch)
-            if len(tree.lens) > self.node_limit:
-                return False
+        if tree is not None and tree.push(ch) is False:
+            self.refused = True
+            return False
         text = self.text
         if text is None:
             return True
@@ -130,12 +131,13 @@ class ConstraintState:
         return not (forbidden and text.buf.endswith(forbidden, 0, text.n))
 
     def pop(self) -> None:
-        tree, text = self.tree, self.text
-        # the eertree logs one undo entry per letter it holds
-        if text is not None and (tree is None or text.n == len(tree.trail)):
-            text.pop()
-        if tree is not None:
-            tree.pop()
+        if self.refused:
+            self.refused = False
+            return
+        if self.text is not None:
+            self.text.pop()
+        if self.tree is not None:
+            self.tree.pop()
 
 
 @dataclass

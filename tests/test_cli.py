@@ -239,8 +239,8 @@ COMMAND_LINES = [
      'growth --pal 11 --max-n 60 --expect 1.1127756842787 --tol 0.01'),
     ('growth --pal 11 --tol 0.5',
      'growth --pal 11 --max-n 60'),
-    ('growth --pal 11 --expect 0 --window 0',
-     'growth --pal 11 --max-n 60 --window 0 --expect 0.0 --tol 0.01'),
+    ('growth --pal 11 --expect 0 --window 2',
+     'growth --pal 11 --max-n 60 --window 2 --expect 0.0 --tol 0.01'),
     ('growth --pal 9 --max-n 20 --expect 1.10 --tol 2e-2',
      'growth --pal 9 --max-n 20 --expect 1.1 --tol 0.02'),
     ('preimage-prove --morphism mu --family F18',
@@ -273,8 +273,8 @@ COMMAND_LINES = [
      'exponent --word mu_p --method empirical --prefix 100000'),
     ('structure --word p',
      'structure --word p --max-bs 200 --complexity-n 500'),
-    ('structure --word nu_p --max-bs 0 --complexity-n 10',
-     'structure --word nu_p --max-bs 0 --complexity-n 10'),
+    ('structure --word nu_p --max-bs 1 --complexity-n 10',
+     'structure --word nu_p --max-bs 1 --complexity-n 10'),
     ('palindromes --word 001011',
      'palindromes --word 001011 --prefix 100000'),
     ('palindromes --word mu_p --prefix 1 --expect 0',
@@ -407,6 +407,24 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
      "argument --prefix: must be at least 1, got 0"),
     # the central factor needs the whole six-letter glue
     (["splice", "--center", "5"], "argument --center: must be at least 6, got 5"),
+    # below these floors a run crashes or passes vacuously
+    (["verify-morphism", "--instance", "thm3a", "--window", "-1"],
+     "argument --window: must be at least 0, got -1"),
+    (["rauzy", "--exp", "3", "--pal", "10", "--ell", "1"],
+     "argument --ell: must be at least 2, got 1"),
+    (["rauzy", "--exp", "3", "--pal", "10", "--ell", "5", "--margin", "-2"],
+     "argument --margin: must be at least 0, got -2"),
+    (["structure", "--word", "p", "--max-bs", "-1"],
+     "argument --max-bs: must be at least 1, got -1"),
+    (["structure", "--word", "p", "--complexity-n", "0"],
+     "argument --complexity-n: must be at least 1, got 0"),
+    (["optimality", "--alphabet", "2", "--pal", "-3", "--symmetry"],
+     "argument --pal: must be at least 1, got -3"),
+    (["growth", "--pal", "0"], "argument --pal: must be at least 1, got 0"),
+    (["rauzy", "--exp", "3", "--pal", "0", "--ell", "5"],
+     "argument --pal: must be at least 1, got 0"),
+    (["growth", "--pal", "11", "--window", "-1"],
+     "argument --window: must be at least 2, got -1"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -298,6 +298,19 @@ def test_incremental_accepts_iff_free(w, spec):
     assert IncrementalFreeChecker(b).accepts(w) == (is_free(w, b) is None)
 
 
+def test_incremental_checker_band_table_stays_logarithmic():
+    """2^14 letters of the Thue-Morse word, which is cube-free, are all
+    accepted under the bound 3, and the checker's band table never holds
+    more than ceil(log_4 n) + 1 rows."""
+    chk = IncrementalFreeChecker(ExponentBound.parse("3"))
+    rows = 1
+    for n in range(1, (1 << 14) + 1):
+        assert chk.push(str(bin(n - 1).count("1") % 2)), n
+        if 4 ** (rows - 1) < n:
+            rows += 1  # rows = ceil(log_4 n) + 1
+        assert len(chk._bands) <= rows, n
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["7/3+", "2", "5/2+", "3", "13/5", "28/11+", "10/3+",
                         "3+", "7/4", "3/2+"]),

@@ -117,6 +117,50 @@ def test_eertree_undo_random():
         assert undone_nodes > 100
 
 
+def _slots(tree):
+    """Every slot of an Eertree, copied."""
+    return (list(tree.s), list(tree.lens), list(tree.link),
+            [dict(edges) for edges in tree.to], list(tree.end),
+            list(tree.parent), tree.last, list(tree.trail), tree.cap)
+
+
+@pytest.mark.parametrize("budget", range(13))
+def test_capped_eertree_matches_uncapped(budget):
+    """Random push/pop walks on an Eertree capped at budget + 1 nodes: a
+    push refused by the cap returns False and leaves every slot as it was
+    (so it is not popped), an accepted push returns the node id of an
+    uncapped tree fed the same letters, and the live palindromes are those
+    of the definitional scan."""
+    for letters in ("01", "012"):
+        rng = random.Random(budget * 10 + len(letters))
+        capped, free = Eertree(budget + 1), Eertree()
+        word = ""
+        refused = 0
+        for _ in range(600):
+            if word and rng.random() < 0.4:
+                capped.pop()
+                free.pop()
+                word = word[:-1]
+                continue
+            c = rng.choice(letters)
+            before = _slots(capped)
+            got, want = capped.push(c), free.push(c)
+            if got is False:
+                refused += 1
+                assert _slots(capped) == before
+                # the uncapped tree made a node past the cap
+                assert want is not None and want >= budget + 1
+                free.pop()
+            else:
+                assert got == want
+                word += c
+            pals = palindrome_set_scan(word) - {""}
+            assert len(pals) <= max(budget, 0)
+            assert len(capped) == len(word)
+            assert sorted(capped.alive_words()) == sorted(pals)
+        assert refused > 0
+
+
 def test_factor_set_wrapper(p_word):
     text = p_word[:1000]
     assert len(factors(text, 2)) == 5

@@ -17,6 +17,17 @@ around the image of the core under OUTER's morphism.  Its shortest return
 word has length s_(2n+r) = |outer(phi^(2n+r)(base))|.  The closed forms,
 the return lengths, the length sequences' seeds, the ratio indices and the
 ratios' numerator constants all derive from the table.
+
+Every structure claim reads one exact prefix: Stream.cover(n) holds every
+factor of length <= n (Allouche and Shallit, Automatic Sequences, ch. 7).
+For x = phi^w(seed), all of whose letters grow, and its image outer(x):
+* the 2-factors of phi(w) are a function of those of w (|w| >= 2), so the
+  first phi^j(seed) whose 2-factors equal the next iterate's holds L_2(x);
+* x is a concatenation of blocks phi^k(c); once each has n' - 1 letters or
+  more, every factor of length n' lies in some phi^k(ab), ab in L_2(x);
+* a factor of length n of outer(x) lies in outer(u), u a factor of x of
+  length n' = ceil((n - 1) / m) + 1, m the length of the shortest outer(c).
+So cover(n) = outer(phi^(j+k)(seed)).
 """
 
 from __future__ import annotations
@@ -27,9 +38,7 @@ from fractions import Fraction
 from . import cubic
 from .cubic import Interval, as_complex, solve_sequence
 from .morphisms import Morphism, load_morphism
-
-DEFAULT_PREFIX = 20000
-PREFIX_CAP = 10 ** 7
+from .words import factors
 
 
 class Stream:
@@ -39,6 +48,10 @@ class Stream:
     periodic = False
 
     def prefix(self, n: int) -> str:
+        raise NotImplementedError
+
+    def cover(self, n: int) -> str:
+        """A prefix that holds every factor of length <= n of the word."""
         raise NotImplementedError
 
 
@@ -56,7 +69,7 @@ class MorphicStream(Stream):
         self.inner = inner
         self.outer = outer
         # fixed_point_prefix refuses a seed the fixed point does not grow from
-        self._iterate = inner.fixed_point_prefix(seed, len(seed))
+        self.seed = self._iterate = inner.fixed_point_prefix(seed, len(seed))
         self._word = self._image(self._iterate)
 
     def _image(self, w: str) -> str:
@@ -67,6 +80,19 @@ class MorphicStream(Stream):
             self._iterate = self.inner.apply(self._iterate)
             self._word = self._image(self._iterate)
         return self._word[:n]
+
+    def cover(self, n: int) -> str:
+        """outer(inner^(j+k)(seed)), j and k as in the module docstring."""
+        w = self.seed
+        while len(w) < 2 or factors(w, 2) != factors(self.inner.apply(w), 2):
+            w = self.inner.apply(w)
+        letters = set(w)
+        m = 1 if self.outer is None else min(len(self.outer.images[int(c)]) for c in letters)
+        blocks = dict.fromkeys(letters, 1)
+        while min(blocks.values()) < -(-(n - 1) // m):  # n' - 1
+            blocks = {c: sum(blocks[d] for d in self.inner.images[int(c)]) for c in letters}
+            w = self.inner.apply(w)
+        return self._image(w)
 
 
 class PeriodicStream(Stream):
@@ -79,6 +105,10 @@ class PeriodicStream(Stream):
     def prefix(self, n: int) -> str:
         reps = n // len(self.period_word) + 1
         return (self.period_word * reps)[:n]
+
+    def cover(self, n: int) -> str:
+        # every factor of length n starts at one of the first |period| letters
+        return self.prefix(len(self.period_word) + n - 1)
 
 
 # the named words: the fixed point p of phi and its images under nu and mu
@@ -123,43 +153,18 @@ class ExtensionProfile:
         return len(self.left) >= 2 and len(self.right) >= 2
 
 
-def _profile_in(text: str, w: str) -> ExtensionProfile:
-    L = len(text)
-    if w == "":
-        letters = sorted(set(text))
-        bi = {(text[i], text[i + 1]) for i in range(L - 1)}
-        return ExtensionProfile("", frozenset(letters), frozenset(letters),
-                                frozenset(bi))
-    occ = occurrences(text, w)
+def extension_profile(w: str, stream: Stream) -> ExtensionProfile:
+    """Extensions of w from all its occurrences in cover(|w| + 2), which
+    holds every factor a.w.b."""
+    text = stream.cover(len(w) + 2)
+    L, n = len(text), len(w)
+    occ = occurrences(text, w)  # the empty word occurs at 0..L
     if not occ:
-        raise ValueError(f"{w!r} does not occur in the given prefix")
-    n = len(w)
+        raise ValueError(f"{w!r} is not a factor of {stream.name}")
     left = {text[s - 1] for s in occ if s >= 1}
     right = {text[s + n] for s in occ if s + n < L}
     bi = {(text[s - 1], text[s + n]) for s in occ if s >= 1 and s + n < L}
     return ExtensionProfile(w, frozenset(left), frozenset(right), frozenset(bi))
-
-
-def _stabilized(compute, stream: Stream, what: str):
-    """Compute on the prefixes of length L and 2L, from L = DEFAULT_PREFIX,
-    doubling L until the two results agree; returns the result at 2L.
-    Raises RuntimeError naming what once L passes PREFIX_CAP."""
-    L = DEFAULT_PREFIX
-    while True:
-        a = compute(stream.prefix(L))
-        b = compute(stream.prefix(2 * L))
-        if a == b:
-            return b
-        L *= 2
-        if L > PREFIX_CAP:
-            raise RuntimeError(f"{what} did not stabilize")
-
-
-def extension_profile(w: str, stream: Stream) -> ExtensionProfile:
-    """Extensions of w from all occurrences in a prefix, accepted only when
-    doubling the prefix reproduces the same profile."""
-    return _stabilized(lambda text: _profile_in(text, w), stream,
-                       f"extension profile of {w!r}")
 
 
 @dataclass
@@ -171,16 +176,21 @@ class ReturnWordSet:
         return min(sorted(self.returns), key=len)
 
 
-def _returns_in(text: str, w: str) -> frozenset[str]:
-    occ = occurrences(text, w)
-    if len(occ) < 2:
-        raise ValueError(f"{w!r} occurs fewer than twice in the prefix")
-    return frozenset(text[occ[i]:occ[i + 1]] for i in range(len(occ) - 1))
-
-
 def return_words(w: str, stream: Stream) -> ReturnWordSet:
-    return ReturnWordSet(w, _stabilized(lambda text: _returns_in(text, w),
-                                        stream, f"return words of {w!r}"))
+    """The gaps between consecutive occurrences of w in cover(m + 1), m
+    doubling from 2|w| + 2 until every length-m window there contains w.
+    Then every complete return word r.w has at most m + 1 letters, so it is
+    a gap there.  Some m passes on a uniformly recurrent word."""
+    m = 2 * len(w) + 2
+    while True:
+        text = stream.cover(m + 1)
+        occ = occurrences(text, w)
+        if not occ:
+            raise ValueError(f"{w!r} is not a factor of {stream.name}")
+        bounds = [-1, *occ, len(text) - len(w) + 1]
+        if all(b - a <= m - len(w) + 1 for a, b in zip(bounds, bounds[1:])):
+            return ReturnWordSet(w, frozenset(text[a:b] for a, b in zip(occ, occ[1:])))
+        m *= 2
 
 
 def _right_special_levels(text: str, max_len: int):
@@ -235,10 +245,9 @@ def _bispecials_in(text: str, max_len: int) -> list[ExtensionProfile]:
 
 
 def bispecial_enumerate(stream: Stream, max_len: int) -> list[ExtensionProfile]:
-    """All non-empty bispecial factors of length <= max_len, profiles
-    stabilization-checked against a doubled prefix."""
-    return _stabilized(lambda text: _bispecials_in(text, max_len), stream,
-                       "bispecial enumeration")
+    """All non-empty bispecial factors of length <= max_len, read off
+    cover(max_len + 2), which holds every factor a.w.b."""
+    return _bispecials_in(stream.cover(max_len + 2), max_len)
 
 
 def _complexity_in(text: str, max_n: int) -> list[int]:
@@ -253,9 +262,8 @@ def _complexity_in(text: str, max_n: int) -> list[int]:
 def factor_complexity(stream: Stream, max_n: int) -> list[int]:
     """C(n) for n = 0..max_n via right-special extension counts
     (C(n+1) - C(n) = sum over right-special length-n factors of
-    (#right extensions - 1)), stabilization-checked."""
-    return _stabilized(lambda text: _complexity_in(text, max_n), stream,
-                       "factor complexity")
+    (#right extensions - 1)), read off cover(max_n)."""
+    return _complexity_in(stream.cover(max_n), max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +499,8 @@ def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500):
     stream (periodic streams are rejected)."""
     if stream.periodic:
         raise ValueError("bispecial exponent formula needs an aperiodic word")
-    text = stream.prefix(4 * DEFAULT_PREFIX)
-    seen = set()
-    for i in range(len(text) - 16):  # stop at the 17th distinct 16-letter slice
-        seen.add(text[i:i + 16])
-        if len(seen) > 16:
-            break
-    else:
-        raise ValueError("stream looks eventually periodic")
+    if len(factors(stream.cover(16), 16)) <= 16:  # C(n) <= n: Morse-Hedlund
+        raise ValueError("stream is eventually periodic")
     profiles = bispecial_enumerate(stream, max_bs_len)
     best = (Fraction(0), "")
     for prof in profiles:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,14 @@ def special_factor_oracle(text: str, max_len: int):
                     bispecials.append((w, left, right, bi))
         increments.append(inc)
     return bispecials, increments
+
+
+def return_word_oracle(text: str, w: str) -> set[str]:
+    """Definitional oracle for structure.return_words on a long prefix: the
+    words from each occurrence of w up to the next one, every occurrence
+    (overlapping ones included) found by a lookahead regex."""
+    occ = [m.start() for m in re.finditer(f"(?={w})", text)]
+    return {text[i:j] for i, j in zip(occ, occ[1:])}
 
 
 class PerPeriodFreeChecker:

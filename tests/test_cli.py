@@ -337,6 +337,18 @@ def test_reference_certificates_rerun_to_same_evidence(name):
     assert run(want.command).comparable() == want.comparable()
 
 
+def test_rauzy_bridge_checks_the_selected_component(monkeypatch):
+    """The bridge holds only if the selected component avoids every
+    image-forbidden factor: with 1001, a factor of mu(p), made forbidden,
+    rauzy-mu no longer passes."""
+    from palfree import search
+    monkeypatch.setitem(search.IMAGE_FORBIDDEN, "mu",
+                        (*search.IMAGE_FORBIDDEN["mu"], "1001"))
+    cert = run(read_certificate(REFERENCE_DIR / "rauzy-mu.cert").command)
+    assert cert.evidence["selected-equals-reference"] == "yes"
+    assert cert.outcome == "fail"
+
+
 def test_traced_names_resolve():
     """Every name the benchmark's tracer wraps exists where it looks for it:
     a function in its palfree module, a method in its class's own dict."""
@@ -425,6 +437,7 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
      "argument --pal: must be at least 1, got 0"),
     (["growth", "--pal", "11", "--window", "-1"],
      "argument --window: must be at least 2, got -1"),
+    (["table1", "--p", "-3", "--beta", "3"], "argument --p: must be at least 1, got -3"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import special_factor_oracle
+from conftest import return_word_oracle, special_factor_oracle
 from palfree.cubic import solve_sequence
 from palfree.morphisms import Morphism, load_morphism
 from palfree.runs import max_stretch_ratio
@@ -19,6 +19,7 @@ from palfree.structure import (SHORT_BISPECIAL_RATIOS, TARGET_RATIO,
                                paper_display_checks, return_words,
                                structural_exponent, tail_bound,
                                asymptotic_exponent)
+from palfree.words import factors
 
 F = Fraction
 
@@ -45,6 +46,34 @@ def test_morphic_stream_refuses_non_prolongable_seed():
         MorphicStream("bad", phi, "2")  # phi(2) = 0
     with pytest.raises(ValueError):
         MorphicStream("bad", load_morphism("nu"), "0")  # not an endomorphism
+
+
+COVER_LENGTHS = (1, 2, 3, 17, 20, 78, 202, 500)
+
+
+@pytest.mark.parametrize("name,lengths", [("p", COVER_LENGTHS), ("nu_p", COVER_LENGTHS),
+                                          ("mu_p", COVER_LENGTHS), ("001011", (1, 2, 7, 40))])
+def test_cover_holds_every_factor(name, lengths):
+    """cover(n) is a prefix of the word with the same length-n factors as a
+    4e5-letter prefix."""
+    stream = named_stream(name)
+    text = stream.prefix(400000)
+    for n in lengths:
+        cover = stream.cover(n)
+        assert text.startswith(cover), (name, n)
+        assert factors(cover, n) == factors(text, n), (name, n)
+
+
+def test_cover_is_the_iterate_the_argument_names():
+    """The cover is outer(phi^(j+k)(0)) with j and k the least the argument
+    allows.  One iterate fewer of k still holds every factor of these words
+    (the bound is sufficient, not tight), so only the lengths catch it."""
+    got = {(name, n): len(named_stream(name).cover(n))
+           for name in ("p", "nu_p", "mu_p") for n in (1, 78, 202, 500)}
+    assert got == {("p", 1): 7, ("p", 78): 1081, ("p", 202): 3329, ("p", 500): 5842,
+                   ("nu_p", 1): 13, ("nu_p", 78): 2048, ("nu_p", 202): 6307,
+                   ("nu_p", 500): 11068, ("mu_p", 1): 26, ("mu_p", 78): 4231,
+                   ("mu_p", 202): 13030, ("mu_p", 500): 22866}
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +150,22 @@ def test_return_words_examples(p_stream, nu_stream):
     assert return_words("1", p_stream).returns == {"12", "102", "10"}
     assert return_words("10", p_stream).returns == {"10", "102", "1012"}
     assert return_words("1001", nu_stream).shortest() == "100"
+
+
+def test_return_words_match_long_prefix_gaps(p_word, nu_word, mu_word):
+    """On every bispecial factor, the return words read off the cover equal
+    the gaps between consecutive occurrences in a 2e5-letter prefix."""
+    for kind, text, max_len in (("p", p_word, 200), ("nu_p", nu_word, 150),
+                                ("mu_p", mu_word, 150)):
+        stream = named_stream(kind)
+        for prof in bispecial_enumerate(stream, max_len):
+            assert return_words(prof.word, stream).returns == \
+                return_word_oracle(text, prof.word), (kind, prof.word)
+
+
+def test_return_words_of_a_non_factor():
+    with pytest.raises(ValueError, match="not a factor"):
+        return_words("20", named_stream("p"))
 
 
 def test_return_word_invariant(p_stream):

@@ -348,15 +348,16 @@ def cert_structure(word: str, max_bs: int, complexity_n: int) -> Certificate:
 def cert_palindromes(word: str, prefix: int, expect: int | None) -> Certificate:
     cert = Certificate("", FAIL)
     stream = structure_mod.named_stream(word)
-    n1, n2 = palindrome_count(stream.prefix(2 * prefix), prefix)
+    count = palindrome_count(stream.prefix(prefix))
+    exact = structure_mod.palindromes(stream)
+    ok = exact is not None and count == len(exact)
     cert.put("word", word)
     cert.put("prefix", prefix)
-    cert.put("count", n1)
-    cert.put("stabilized", "yes" if n1 == n2 else "no")
-    ok = n1 == n2
+    cert.put("count", count)
+    cert.put("stabilized", "yes" if ok else "no")
     if expect is not None:
         cert.put("expected", expect)
-        ok = ok and n1 == expect
+        ok = ok and count == expect
     cert.outcome = PASS if ok else FAIL
     return cert
 
@@ -379,8 +380,9 @@ def cert_splice(prefix: int, center: int) -> Certificate:
     cert.put("marker", marker)
     pref_ok = ("110" + text).startswith(marker)
     cert.put("marker-prefix-of-110nu", "yes" if pref_ok else "no")
-    in_nu = marker in text
-    in_rev = marker in reverse(text)
+    cover = stream.cover(len(marker))
+    in_nu = marker in cover
+    in_rev = reverse(marker) in cover
     cert.put("marker-in-nu", "yes" if in_nu else "no")
     cert.put("marker-in-reverse", "yes" if in_rev else "no")
     if v is None and pref_ok and not in_nu and not in_rev:
@@ -450,8 +452,7 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
         ok = pal.outcome == PASS and exp.outcome == PASS
         cert.outcome = PASS if ok else FAIL
     elif cls == "red":
-        word = detail * (2000 // len(detail))
-        n = palindrome_count(word)
+        n = len(structure_mod.palindromes(structure_mod.named_stream(detail)))
         cert.put("witness-word", f"({detail})^w")
         cert.put("palindromes", n)
         cert.outcome = PASS if n <= p else FAIL
@@ -586,7 +587,7 @@ COMMANDS = {
         _flag("--max-bs", type=_int_at_least(1), default=200),
         _flag("--complexity-n", type=_int_at_least(1), default=500),
     ]),
-    "palindromes": ("stabilized distinct-palindrome count", cert_palindromes, [
+    "palindromes": ("distinct-palindrome count, checked against the exact set", cert_palindromes, [
         _flag("--word", required=True, type=_stream_name),
         _flag("--prefix", type=_int_at_least(1), default=100000),
         _flag("--expect", type=int),

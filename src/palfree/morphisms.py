@@ -1,5 +1,5 @@
-"""Morphisms between free monoids: application, fixed points, incidence
-matrices, uniformity, the synchronizing property, synchronization points."""
+"""Morphisms between free monoids: application, fixed points, uniformity,
+injectivity and the synchronizing property."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import cache
 from importlib import resources
 from itertools import product
 
-from .words import ALPHABETS, check_word, factors, parikh
+from .words import ALPHABETS, check_word
 
 
 class Morphism:
@@ -67,12 +67,6 @@ class Morphism:
             w = self.apply(w)
         return w[:n]
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """M[k][j] = occurrences of letter k in the image of letter j."""
-        cols = [parikh(im, self.target_size) for im in self.images]
-        return [[cols[j][k] for j in range(self.source_size)]
-                for k in range(self.target_size)]
-
     def is_uniform(self) -> int | None:
         q = len(self.images[0])
         return q if all(len(im) == q for im in self.images) else None
@@ -127,80 +121,6 @@ class Morphism:
                         continue
                     return (a, b, c, fab[:off], fab[off + q:])
         return True
-
-
-def synchronization_points(m: Morphism, w: str, context: str) -> list[int] | None:
-    """Cut positions 0..|w| forced in every parse of w as a factor of images
-    of factors of the context word; None when w admits no parse at all.
-
-    Parses are enumerated over context factors long enough that any parse
-    ambiguity has resolved (one extra image on each side).
-    """
-    if not w:
-        return [0]
-    min_im = min(len(im) for im in m.images)
-    zlen = len(w) // min_im + 2
-    cuts = None
-    found = False
-    for z in sorted(factors(context, zlen)):
-        img = m.apply(z)
-        # image boundary positions of z inside img
-        bounds = [0]
-        for c in z:
-            bounds.append(bounds[-1] + len(m.images[int(c)]))
-        boundset = set(bounds)
-        start = img.find(w)
-        while start != -1:
-            found = True
-            here = {b - start for b in boundset if start <= b <= start + len(w)}
-            cuts = here if cuts is None else (cuts & here)
-            start = img.find(w, start + 1)
-    if not found:
-        return None
-    return sorted(cuts)
-
-
-def characteristic_polynomial(matrix) -> list[int]:
-    """det(tI - M) over Z[t] by cofactor expansion, highest degree first.
-    Exact integer arithmetic; alphabets here never exceed 4 letters."""
-    n = len(matrix)
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def poly_add(a, b):
-        la, lb = len(a), len(b)
-        if la < lb:
-            a = [0] * (lb - la) + a
-        elif lb < la:
-            b = [0] * (la - lb) + b
-        return [x + y for x, y in zip(a, b)]
-
-    # entries of tI - M as polynomials in t (highest degree first)
-    entries = [[[1, -matrix[i][j]] if i == j else [-matrix[i][j]]
-                for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        out = [0]
-        r = rows[0]
-        for idx, c in enumerate(cols):
-            minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = poly_mul(entries[r][c], minor)
-            if idx % 2:
-                term = [-x for x in term]
-            out = poly_add(out, term)
-        return out
-
-    poly = det(list(range(n)), list(range(n)))
-    while len(poly) > 1 and poly[0] == 0:
-        poly = poly[1:]
-    return poly
 
 
 def parse_morphism(text: str) -> Morphism:

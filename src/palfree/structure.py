@@ -38,7 +38,7 @@ from fractions import Fraction
 from . import cubic
 from .cubic import Interval, as_complex, solve_sequence
 from .morphisms import Morphism, load_morphism
-from .words import factors
+from .words import factors, palindrome_cut_index, palindrome_set
 
 
 class Stream:
@@ -264,6 +264,28 @@ def factor_complexity(stream: Stream, max_n: int) -> list[int]:
     (C(n+1) - C(n) = sum over right-special length-n factors of
     (#right extensions - 1)), read off cover(max_n)."""
     return _complexity_in(stream.cover(max_n), max_n)
+
+
+def palindromes(stream: Stream) -> set[str] | None:
+    """Every palindromic factor of the word, the empty word included, or
+    None when there are infinitely many.  K doubles from 2 until the cut
+    rule fires on the palindromes of cover(K):
+    * cover(K) holds every factor of length <= K;
+    * a palindrome longer than k has a central palindrome of length k - 1
+      or k, so once both lengths are empty no longer palindromes exist;
+    * in a purely periodic word a palindrome at least one period long
+      extends by one letter on each side, forever, so once K exceeds the
+      period and no cut fired the set is infinite.
+    A morphic stream with infinitely many palindromes would loop; the named
+    words p, nu_p and mu_p stop at K = 16, 32 and 16."""
+    K = 2
+    while True:
+        pals = palindrome_set(stream.cover(K))
+        if palindrome_cut_index(pals, K) is not None:
+            return pals
+        if stream.periodic and K > len(stream.period_word):
+            return None
+        K *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .eertree import Eertree
 from .morphisms import Morphism, load_morphism
 from .repetition import ExponentBound, IncrementalFreeChecker, is_free
 from .search import Walk
-from .words import ALPHABETS
+from .words import ALPHABETS, palindrome_cut_index
 
 PAL_WINDOW_CAP = 64
 
@@ -204,19 +204,6 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
 
     Walk(state, ALPHABETS[inst.source_alphabet], window, visit).run([""])
     return found
-
-
-def palindrome_cut_index(pals: set[str], horizon: int) -> int | None:
-    """Smallest k >= 2, within the horizon up to which the enumeration is
-    complete, with no palindromes of lengths k-1 and k.  Any longer
-    palindrome contains a central palindromic factor of length k-1 or k
-    (peel two letters at a time), so none exist beyond a genuine cut."""
-    bylen = set(len(p) for p in pals)
-    maxlen = max(bylen, default=0)
-    for k in range(2, min(maxlen + 2, horizon) + 1):
-        if (k - 1) not in bylen and k not in bylen:
-            return k
-    return None
 
 
 def verify_palindrome_budget(inst: TransferInstance,

@@ -67,15 +67,22 @@ def palindrome_set(w: str) -> set[str]:
     return out
 
 
-def palindrome_count(w: str, inner: int | None = None):
-    """Number of distinct palindromic factors, the empty word included.
-    With inner, the pair (count of w[:inner], count of w) from one pass."""
+def palindrome_count(w: str) -> int:
+    """Number of distinct palindromic factors, the empty word included."""
     tree = Eertree()
-    for c in w[:inner]:
+    for c in w:
         tree.push(c)
-    if inner is None:
-        return tree.count() + 1
-    first = tree.count() + 1
-    for c in w[inner:]:
-        tree.push(c)
-    return first, tree.count() + 1
+    return tree.count() + 1
+
+
+def palindrome_cut_index(pals: set[str], horizon: int) -> int | None:
+    """Smallest k >= 2, within the horizon up to which the enumeration is
+    complete, with no palindromes of lengths k-1 and k.  Any longer
+    palindrome contains a central palindromic factor of length k-1 or k
+    (peel two letters at a time), so none exist beyond a genuine cut."""
+    bylen = set(len(p) for p in pals)
+    maxlen = max(bylen, default=0)
+    for k in range(2, min(maxlen + 2, horizon) + 1):
+        if (k - 1) not in bylen and k not in bylen:
+            return k
+    return None

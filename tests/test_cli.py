@@ -52,6 +52,17 @@ def test_table1_periodic_cell(capsys):
     assert "palindromes: 9" in out
 
 
+@pytest.mark.parametrize("p,beta,count", [(18, "28/11", "18"), (20, "5/2", "20"),
+                                          (9, "inf", "9")])
+def test_table1_red_cells(p, beta, count):
+    """The three red cells pass, each with its witness word's exact
+    palindrome count."""
+    cert = run(f"table1 --p {p} --beta {beta}")
+    assert cert.outcome == "pass"
+    assert cert.evidence["classification"] == "red"
+    assert cert.evidence["palindromes"] == count
+
+
 def test_table1_empty_cell():
     cert = run("table1 --p 14 --beta 8/3 --cap 200")
     assert cert.outcome == "pass"
@@ -326,13 +337,16 @@ def test_reference_certificates_render_their_command_lines():
     "optimality-pal8", "optimality-cubefree14",
     "exponent-nu-structural", "exponent-mu-structural", "structure-p",
     "rauzy-mu", "preimage-mu", "preimage-nu", "transfer-thm3c",
+    "palindromes-baseline", "palindromes-mu", "palindromes-nu", "palindromes-mu-1e4",
+    "splice-x",
 ])
 def test_reference_certificates_rerun_to_same_evidence(name):
     """The cheap reference certificates of the benchmark rerun to the same
     evidence: the search ones pin the nodes the walk visits, the structural
     ones the family sups, witnesses, bispecials and return lengths, rauzy-mu
     its weak components and orbits, the pre-image ones every proof tree and
-    the transfer one its depth, word count and palindromes."""
+    the transfer one its depth, word count and palindromes, the palindromes
+    ones their counts and the splice one its marker lines."""
     want = read_certificate(REFERENCE_DIR / f"{name}.cert")
     assert run(want.command).comparable() == want.comparable()
 

@@ -2,14 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from palfree.morphisms import (Morphism, characteristic_polynomial,
-                               load_morphism, parse_morphism,
-                               shipped_morphisms, synchronization_points)
+from palfree.cubic import CUBIC
+from palfree.morphisms import (Morphism, load_morphism, parse_morphism,
+                               shipped_morphisms)
 from palfree.transfer import load_instance, shipped_instances
-from palfree.words import factors, parikh
 
 PHI = load_morphism("phi")
 MU = load_morphism("mu")
@@ -66,29 +63,12 @@ def test_fixed_point_requires_prolongable_seed():
     assert PHI.fixed_point_prefix("01", 35) == PHI.fixed_point_prefix("0", 35)
 
 
-def test_incidence_matrix():
-    m = PHI.incidence_matrix()
-    assert m == [[1, 0, 1], [1, 1, 0], [0, 1, 0]]
-    ident = Morphism(("0", "1"))
-    assert ident.incidence_matrix() == [[1, 0], [0, 1]]
-
-
-def test_characteristic_polynomial():
-    assert characteristic_polynomial(PHI.incidence_matrix()) == [1, -2, 1, -1]
-    assert characteristic_polynomial([[1, 0], [0, 1]]) == [1, -2, 1]
-
-
-@settings(max_examples=200)
-@given(st.text(alphabet="012", max_size=25))
-def test_parikh_identity(u):
-    m = PHI.incidence_matrix()
-    pu = parikh(u, 3)
-    img = parikh(PHI.apply(u), 3)
-    assert img == tuple(sum(m[k][j] * pu[j] for j in range(3)) for k in range(3))
-
-
 def test_length_recurrence():
-    # |phi^{n+3}(w)| = 2|phi^{n+2}(w)| - |phi^{n+1}(w)| + |phi^n(w)|
+    """The image lengths of phi follow the recurrence of the polynomial whose
+    root cubic.py isolates: t^3 = 2t^2 - t + 1 gives
+    |phi^{n+3}(w)| = 2|phi^{n+2}(w)| - |phi^{n+1}(w)| + |phi^n(w)|."""
+    one, c2, c1, c0 = CUBIC
+    assert one == 1
     for seed in ("0", "1", "2", "01", "012", "2101"):
         lens = []
         w = seed
@@ -96,7 +76,7 @@ def test_length_recurrence():
             lens.append(len(w))
             w = PHI.apply(w)
         for n in range(13):
-            assert lens[n + 3] == 2 * lens[n + 2] - lens[n + 1] + lens[n]
+            assert lens[n + 3] == -(c2 * lens[n + 2] + c1 * lens[n + 1] + c0 * lens[n])
 
 
 def test_uniformity():
@@ -141,33 +121,3 @@ def test_shipped_listing():
     names = shipped_morphisms()
     assert {"phi", "mu", "nu"} <= set(names)
     assert len([n for n in names if n.startswith("thm3")]) == 8
-
-
-def test_synchronization_points_phi(p_word):
-    ctx = p_word[:20000]
-    # every non-empty factor of the fixed point has a synchronization point
-    for n in (1, 2, 3, 5, 9, 17, 30):
-        for w in sorted(factors(p_word[:3000], n)):
-            pts = synchronization_points(PHI, w, ctx)
-            assert pts, (w, pts)
-
-
-def test_synchronization_points_nu(nu_word, p_word):
-    ctx = p_word[:20000]
-    for n in (2, 3, 7, 16, 33):
-        for w in sorted(factors(nu_word[:3000], n)):
-            pts = synchronization_points(NU, w, ctx)
-            assert pts, (w, n)
-    # length-1 factors need not synchronize: 1 parses at distinct cuts
-    assert synchronization_points(NU, "1", ctx) == []
-
-
-def test_synchronization_points_mu(mu_word, p_word):
-    ctx = p_word[:20000]
-    for n in (6, 7, 11, 20):
-        for w in sorted(factors(mu_word[:2500], n)):
-            pts = synchronization_points(MU, w, ctx)
-            assert pts, (w, n)
-    # below the threshold some factor fails
-    short = sorted(factors(mu_word[:2500], 4))
-    assert any(synchronization_points(MU, w, ctx) == [] for w in short)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,10 +17,10 @@ from palfree.structure import (SHORT_BISPECIAL_RATIOS, TARGET_RATIO,
                                family_bispecial, family_members,
                                family_ratio_analysis, MorphicStream,
                                length_sequence, named_stream,
-                               paper_display_checks, return_words,
+                               palindromes, paper_display_checks, return_words,
                                structural_exponent, tail_bound,
                                asymptotic_exponent)
-from palfree.words import factors
+from palfree.words import factors, palindrome_set
 
 F = Fraction
 
@@ -203,6 +204,36 @@ def test_factor_complexity_p(p_stream):
 def test_factor_complexity_periodic_word():
     comp = factor_complexity(named_stream("001011"), 12)
     assert comp[6:] == [6] * 7
+
+
+def test_palindromes_of_the_named_words(p_word, nu_word, mu_word):
+    """The exact palindrome sets equal those of a 2e5-letter prefix, with
+    counts 10, 20 and 18 (empty word included) and these per-length
+    profiles, lengths 1 upwards."""
+    profiles = {"p": (p_word, 10, [3, 0, 3, 0, 2, 0, 1]),
+                "nu_p": (nu_word, 20, [2, 2, 2, 2, 1, 2, 1, 2, 1, 1, 1, 0, 1, 0, 1]),
+                "mu_p": (mu_word, 18, [2, 2, 2, 2, 1, 3, 1, 3, 1])}
+    for name, (text, count, profile) in profiles.items():
+        pals = palindromes(named_stream(name))
+        assert pals == palindrome_set(text), name
+        assert len(pals) == count == 1 + sum(profile), name
+        assert [sum(len(w) == n for w in pals)
+                for n in range(1, len(profile) + 1)] == profile, name
+
+
+def test_palindromes_of_periodic_words():
+    """For every periodic word over {0,1,2} with period L <= 6: None exactly
+    when the palindromes of 80L + 80 letters outnumber those of 40L + 40,
+    otherwise the set of the shorter prefix."""
+    for L in range(1, 7):
+        for letters in product("012", repeat=L):
+            stream = named_stream("".join(letters))
+            short = palindrome_set(stream.prefix(40 * L + 40))
+            grows = palindrome_set(stream.prefix(80 * L + 80)) != short
+            assert palindromes(stream) == (None if grows else short), stream.name
+    assert palindromes(named_stream("01")) is None
+    assert palindromes(named_stream("0")) is None
+    assert len(palindromes(named_stream("001011"))) == 9
 
 
 def _walk_texts():

@@ -70,13 +70,6 @@ def test_palindrome_count_monotone(nu_word):
     assert counts == sorted(counts)
 
 
-@given(quaternary, st.integers(min_value=0, max_value=60))
-def test_palindrome_count_with_inner_length(w, inner):
-    """One pass reports the count of w[:inner] on the way to the count of w."""
-    assert palindrome_count(w, inner) == (palindrome_count(w[:inner]),
-                                          palindrome_count(w))
-
-
 @given(binary)
 def test_reverse_complement_involutions(w):
     assert reverse(reverse(w)) == w

@@ -124,6 +124,10 @@ class ReplayReport:
 
 
 def compare_certificates(old: Certificate, new: Certificate) -> ReplayReport:
+    """Matched when comparable() is equal, so the order of evidence keys and
+    of sections counts too; one line per differing field, plus one when
+    only the order differs."""
+    matched = old.comparable() == new.comparable()
     diffs = []
     if old.command != new.command:
         diffs.append(f"command: {old.command!r} != {new.command!r}")
@@ -139,4 +143,6 @@ def compare_certificates(old: Certificate, new: Certificate) -> ReplayReport:
         a, b = old.lists.get(s), new.lists.get(s)
         if a != b:
             diffs.append(f"section [{s}] differs")
-    return ReplayReport(not diffs, diffs)
+    if not matched and not diffs:
+        diffs.append("evidence keys or sections in a different order")
+    return ReplayReport(matched, diffs)

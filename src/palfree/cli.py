@@ -485,43 +485,25 @@ def _int_at_least(least: int):
     return parse
 
 
-def _stream_name(text: str) -> str:
-    """--word: a name that structure.named_stream knows, returned unchanged
-    ('' is left for the builder to refuse)."""
-    if text:
-        try:
-            structure_mod.named_stream(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+def _checked(check, message: str, unchecked=("",)):
+    """A flag type that returns its text unchanged when the text is in
+    unchecked or check(text) raises no ValueError or ZeroDivisionError, and
+    otherwise refuses it with message, formatted with the text and the
+    exception.  '' is unchecked by default: --word '' is left for the
+    builder to refuse, and --exp '' or --bound '' means no bound."""
+    def parse(text: str) -> str:
+        if text not in unchecked:
+            try:
+                check(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise argparse.ArgumentTypeError(message.format(text=text, exc=exc)) from None
+        return text
+    return parse
 
 
-def _exponent_bound(text: str) -> str:
-    """exponent --bound: '' or a bound like 28/11+, returned unchanged."""
-    if text:
-        try:
-            ExponentBound.parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(
-                f"not an exponent bound: {text!r} ({exc})") from None
-    return text
-
-
-def _exponent_bound_or_none(text: str) -> str:
-    """optimality and rauzy --exp: none, inf or what --bound takes, returned
-    unchanged."""
-    return text if text in ("none", "inf") else _exponent_bound(text)
-
-
-def _column_bound(text: str) -> str:
-    """table1 --beta: a fraction, inf or none, returned unchanged."""
-    if text not in ("inf", "none"):
-        try:
-            Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(
-                f"not a fraction, inf or none: {text!r}") from None
-    return text
+_BOUND = "not an exponent bound: {text!r} ({exc})"
+_stream_name = _checked(structure_mod.named_stream, "{exc}")  # --word
+_exp = _checked(ExponentBound.parse, _BOUND, ("", "none", "inf"))  # optimality, rauzy
 
 
 def _flag(name: str, when=None, **kw):
@@ -538,7 +520,7 @@ COMMANDS = {
     ]),
     "optimality": ("nonexistence search certificate", cert_optimality, [
         _flag("--alphabet", type=int, choices=range(1, 5), default=2),
-        _flag("--exp", type=_exponent_bound_or_none),
+        _flag("--exp", type=_exp),
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=_int_at_least(1)),
         _flag("--cap", type=int, default=400),
@@ -559,7 +541,7 @@ COMMANDS = {
         _flag("--target"),
     ]),
     "rauzy": ("survivor windows, components, comparison", cert_rauzy, [
-        _flag("--exp", required=True, type=_exponent_bound_or_none),
+        _flag("--exp", required=True, type=_exp),
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=_int_at_least(1), required=True),
         _flag("--ell", type=_int_at_least(2), required=True),
@@ -580,7 +562,7 @@ COMMANDS = {
         _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
               help="ignored: the bispecial method uses its own limit"),
         _flag("--expect"),
-        _flag("--bound", type=_exponent_bound),
+        _flag("--bound", type=_checked(ExponentBound.parse, _BOUND)),
     ]),
     "structure": ("bispecial factors, families, return words", cert_structure, [
         _flag("--word", required=True, type=_stream_name),
@@ -598,7 +580,8 @@ COMMANDS = {
     ]),
     "table1": ("classify and verify one cell", cert_table1, [
         _flag("--p", type=_int_at_least(1), required=True),
-        _flag("--beta", required=True, type=_column_bound,
+        _flag("--beta", required=True,
+              type=_checked(Fraction, "not a fraction, inf or none: {text!r}", ("inf", "none")),
               help="column bound like 8/3, or inf"),
         _flag("--cap", type=int, default=400),
         _flag("--nodes", type=int),

@@ -222,24 +222,8 @@ class CubicConstants:
     A: Interval
     B: ComplexInterval
 
-    @property
-    def error_radius(self) -> Fraction:
-        return max(self.beta.width, self.A.width, self.B.re.width, self.B.im.width) / 2
-
     def lam(self) -> ComplexInterval:
         return ComplexInterval(self.lam_re, self.lam_im)
-
-    def evaluate(self, n: int) -> Interval:
-        """Closed-form s_n = A beta^n + 2 Re(B lam^n), as an interval."""
-        bpow = as_interval(1)
-        for _ in range(n):
-            bpow = bpow * self.beta
-        lpow = ComplexInterval(1)
-        lam = self.lam()
-        for _ in range(n):
-            lpow = lpow * lam
-        term = self.B * lpow
-        return self.A * bpow + 2 * term.re
 
 
 def solve_sequence(seeds, width: Fraction = DEFAULT_WIDTH) -> CubicConstants:

@@ -163,10 +163,6 @@ class OrbitStructure:
     complement_map: dict[int, int]
     orbits: list[list[int]] = field(default_factory=list)
 
-    @property
-    def single_orbit(self) -> bool:
-        return len(self.orbits) == 1
-
 
 def symmetry_orbits(comps: list[RauzyGraph]) -> OrbitStructure:
     """Match each component with its image under arc-wise reversal and

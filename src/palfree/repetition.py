@@ -39,9 +39,6 @@ class ExponentBound:
             text = text[:-1]
         return cls(Fraction(text), strict)
 
-    def violated_by(self, exponent: Fraction) -> bool:
-        return exponent > self.threshold if self.strict else exponent >= self.threshold
-
     def min_violating_length(self, period: int) -> int:
         """Shortest factor length that violates the bound at this period."""
         num, den = self._num, self._den
@@ -245,16 +242,3 @@ class IncrementalFreeChecker:
 
     # the current word as an attribute, for callers that trace pushes
     w = property(word)
-
-    def accepts(self, w: str) -> bool:
-        """Feed a whole word through push/pop; True iff every push passed."""
-        ok = True
-        n = 0
-        for c in w:
-            n += 1
-            if not self.push(c):
-                ok = False
-                break
-        for _ in range(n):
-            self.pop()
-        return ok

@@ -82,14 +82,30 @@ class MorphicStream(Stream):
         return self._word[:n]
 
     def cover(self, n: int) -> str:
-        """outer(inner^(j+k)(seed)), j and k as in the module docstring."""
+        """outer(inner^(j+k)(seed)), j and k as in the module docstring.
+
+        Raises ValueError when the shortest block phi^k(c) stops growing
+        below the length needed.  Block lengths never shrink, so once the
+        shortest has stayed the same for as many steps as there are
+        letters, some letter c has |phi^i(c)| equal over more iterates than
+        there are letters.  Each letter of phi^i(c) then has a one-letter
+        image, and the letters at each position pass through more iterates
+        than there are letters, so they cycle through one-letter images:
+        phi^i(c) keeps its length forever.
+        """
         w = self.seed
         while len(w) < 2 or factors(w, 2) != factors(self.inner.apply(w), 2):
             w = self.inner.apply(w)
         letters = set(w)
         m = 1 if self.outer is None else min(len(self.outer.images[int(c)]) for c in letters)
         blocks = dict.fromkeys(letters, 1)
-        while min(blocks.values()) < -(-(n - 1) // m):  # n' - 1
+        least = stalled = 0
+        while (shortest := min(blocks.values())) < -(-(n - 1) // m):  # n' - 1
+            stalled = stalled + 1 if shortest == least else 0
+            if stalled == len(letters):
+                raise ValueError(f"the shortest block of {self.name} stops growing at "
+                                 f"length {shortest}: no cover of length {n}")
+            least = shortest
             blocks = {c: sum(blocks[d] for d in self.inner.images[int(c)]) for c in letters}
             w = self.inner.apply(w)
         return self._image(w)
@@ -565,48 +581,3 @@ def asymptotic_exponent(kind: str) -> Interval:
         raise ValueError("asymptotic exponent known for p, nu_p, mu_p only")
     return cubic.asymptotic_exponent_value()
 
-
-def paper_display_checks() -> dict[str, bool]:
-    """The eight literal tail displays from the source analysis, evaluated
-    in interval arithmetic (historical record; the uniform tail_bound above
-    is what the verdicts rest on).  One display (mu families, D) is known
-    not to hold numerically even though its family is bounded."""
-    c1, c2, c3, c4 = (solve_sequence(tuple(length_sequence(kind, base, 2)),
-                                     Fraction(1, 10 ** 13))
-                      for kind in ("nu_p", "mu_p") for base in ("012", "01"))
-    beta = c1.beta
-    b2 = beta * beta
-    lam = c1.lam()
-    la = lam.abs()
-    lam2 = lam * lam
-    one_m_l2 = as_complex(1) - lam2
-    a1ml2 = one_m_l2.abs()
-    A1, B1 = c1.A, c1.B.abs()
-    A2, B2c = c2.A, c2.B
-    B2 = B2c.abs()
-    A3, B3 = c3.A, c3.B.abs()
-    A4, B4c = c4.A, c4.B
-    B4 = B4c.abs()
-    la2 = la * la
-    la4 = la2 * la2
-    checks = {
-        "nu-pre": (2 / (b2 - 1)).certainly_leq(1),
-        "nu-A": (8 + 8 * B1 * la / a1ml2).certainly_leq(
-            2 * A1 * beta / (b2 - 1) - 2 * B1 * la),
-        "nu-B": (2 + 8 * B1 / a1ml2).certainly_leq(
-            2 * A1 / (b2 - 1) - 2 * B1),
-        "nu-C": (4 + 4 * (B2c / one_m_l2).re + 4 * B2 * la4 / a1ml2).certainly_leq(
-            2 * A2 / (b2 - 1) - 2 * B2 * la4),
-        "nu-D": (4 + 8 * B2 * la / a1ml2).certainly_leq(
-            2 * A2 * beta / (b2 - 1) - 2 * B2 * la),
-        "mu-pre": (11 / (b2 - 1)).certainly_leq(6),
-        "mu-A": (66 + 44 * B3 * la / a1ml2).certainly_leq(
-            11 * A3 * beta / (b2 - 1) - 12 * B3 * la),
-        "mu-B": (66 + 22 * B3 * (1 + la2) / a1ml2).certainly_leq(
-            11 * A3 / (b2 - 1) + A3 * b2 * (6 - 11 / (b2 - 1)) - 12 * B3 * la2),
-        "mu-C": (22 * B4 * (1 + la2) / a1ml2).certainly_leq(
-            11 * A4 / (b2 - 1) + A4 * b2 * (6 - 11 / (b2 - 1)) - 12 * B4 * la2),
-        "mu-D": (88 + 22 * (B4c * lam / one_m_l2).re + 22 * B4 * la / a1ml2).certainly_leq(
-            11 * A4 * beta / (b2 - 1) - 12 * B4 * la),
-    }
-    return checks

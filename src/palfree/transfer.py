@@ -82,16 +82,6 @@ def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
     return max(first, second)
 
 
-def enumerate_free_words(alphabet_size: int, bound: ExponentBound, max_len: int):
-    """Yield every bound-free word of length <= max_len over 0..d-1, the
-    empty word first, within each length in lexicographic order."""
-    out = [""]
-    Walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
-         out.append).run([""])
-    # stream in (length, word) order for reproducibility
-    return sorted(out, key=lambda w: (len(w), w))
-
-
 class ImageState:
     """Push/pop state of a walk over source words that pushes the image of
     every accepted source letter onto target.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from palfree.cubic import ComplexInterval, as_interval
 from palfree.repetition import ExponentBound, Violation
 from palfree.structure import named_stream
 
@@ -35,6 +36,26 @@ def brute_critical_exponent(w):
             if e > best:
                 best = e
     return best
+
+
+def closed_form(cc, n):
+    """Closed-form s_n = A beta^n + 2 Re(B lam^n) of the constants cc, as
+    an interval."""
+    bpow = as_interval(1)
+    for _ in range(n):
+        bpow = bpow * cc.beta
+    lpow = ComplexInterval(1)
+    lam = cc.lam()
+    for _ in range(n):
+        lpow = lpow * lam
+    term = cc.B * lpow
+    return cc.A * bpow + 2 * term.re
+
+
+def violates(bound, exponent):
+    """Definitional oracle for ExponentBound.min_violating_length: whether a
+    repetition of this exponent breaks the bound."""
+    return exponent > bound.threshold if bound.strict else exponent >= bound.threshold
 
 
 def maximal_stretches(w):
@@ -192,16 +213,3 @@ class PerPeriodFreeChecker:
 
     def word(self) -> str:
         return "".join(self.w)
-
-    def accepts(self, w: str) -> bool:
-        """Feed a whole word through push/pop; True iff every push passed."""
-        ok = True
-        n = 0
-        for c in w:
-            n += 1
-            if not self.push(c):
-                ok = False
-                break
-        for _ in range(n):
-            self.pop()
-        return ok

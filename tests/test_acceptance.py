@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
-import pytest
-
 from palfree.cli import cert_optimality, cert_splice
 from palfree.cubic import solve_sequence
 from palfree.rauzy import (RauzyGraph, build_rauzy, components, survivor_set,
@@ -58,7 +56,6 @@ EXPECTED_BUDGETS = {
 }
 
 
-@pytest.mark.slow
 def test_criterion_1_transfer_verification():
     t0 = time.monotonic()
     passed = 0
@@ -81,7 +78,6 @@ def test_criterion_1_transfer_verification():
     assert wall < 3600
 
 
-@pytest.mark.slow
 def test_criterion_2_palindrome_budgets():
     counts = {}
     ok = True
@@ -109,7 +105,6 @@ def test_criterion_3_baseline_palindrome_counts():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_4_empirical_exponents():
     t0 = time.monotonic()
     nu = named_stream("nu_p")
@@ -178,7 +173,6 @@ def test_criterion_6_asymptotic_exponent_and_constants():
         "integer recurrence reproduction test in tests/test_cubic.py")
 
 
-@pytest.mark.slow
 def test_criterion_7_structure_of_p():
     stream = named_stream("p")
     comp = factor_complexity(stream, 500)
@@ -238,7 +232,6 @@ def test_criterion_8_preimage_provers():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_9_rauzy_construction():
     t0 = time.monotonic()
     # the 18-palindrome instance at window 20 (margin 40 separates; the
@@ -251,7 +244,7 @@ def test_criterion_9_rauzy_construction():
     mu_stream = named_stream("mu_p")
     ref = RauzyGraph.of_word(mu_stream.cover(20), 20)
     f19 = {w[:-1] for w in ref.arcs} | {w[1:] for w in ref.arcs}
-    mu_ok = (len(comps) == 4 and orb.single_orbit and len(orb.orbits[0]) == 4
+    mu_ok = (len(comps) == 4 and len(orb.orbits) == 1 and len(orb.orbits[0]) == 4
              and len(chosen) == 1 and chosen[0] == ref
              and chosen[0].vertices == f19
              and all(chosen[0].avoids(f) for f in IMAGE_FORBIDDEN["mu"])
@@ -263,7 +256,7 @@ def test_criterion_9_rauzy_construction():
     chosen78 = [c for c in comps78 if c.avoids("1011")]
     nu_stream = named_stream("nu_p")
     ref78 = RauzyGraph.of_word(nu_stream.cover(78), 78)
-    nu_ok = (len(comps78) == 4 and orb78.single_orbit
+    nu_ok = (len(comps78) == 4 and len(orb78.orbits) == 1
              and len(orb78.orbits[0]) == 4 and len(chosen78) == 1
              and chosen78[0] == ref78
              and all(chosen78[0].avoids(f) for f in IMAGE_FORBIDDEN["nu"])

@@ -57,6 +57,23 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("part", ["evidence", "lists"])
+def test_replay_detects_a_change_of_order(tmp_path, capsys, part):
+    """Replay compares comparable(), whose order counts: with two evidence
+    keys or two sections swapped, every line still matches its own, and
+    replay reports the order."""
+    cert = run_command(shlex.split("preimage-prove --morphism nu --family F20"))
+    items = getattr(cert, part)
+    first, second, *rest = items.items()
+    items.clear()
+    items.update([second, first, *rest])
+    path = tmp_path / "swapped.cert"
+    cert.write(path)
+    assert main(["replay", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and "in a different order" in out
+
+
 def test_timing_not_compared():
     a = Certificate("cmd", "pass", {"k": "1"})
     a.wall_ms = 5

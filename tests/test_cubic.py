@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import closed_form
 from palfree.cubic import (CUBIC, ComplexInterval, Interval, as_complex,
                            asymptotic_exponent_value, eval_poly, isolate_root,
                            solve_sequence, sqrt_interval)
@@ -68,10 +69,11 @@ def test_solved_constants_reproduce_integer_sequences():
             cc = solve_sequence(seeds)
             assert cc.seeds == seeds
             for n in range(21):
-                iv = cc.evaluate(n)
+                iv = closed_form(cc, n)
                 assert iv.lo <= ints[n] <= iv.hi, (seeds, n)
                 assert iv.width < F(1, 10 ** 6)  # widths compound under powering
-            assert cc.error_radius < F(1, 10 ** 12)
+            assert max(cc.beta.width, cc.A.width, cc.B.re.width,
+                       cc.B.im.width) / 2 < F(1, 10 ** 12)
     assert seen == {(6, 10, 17), (4, 7, 13), (11, 21, 36), (10, 15, 26)}
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (PerPeriodFreeChecker, _first_violation_scan,
-                      brute_critical_exponent, maximal_stretches)
+                      brute_critical_exponent, maximal_stretches, violates)
 from palfree import runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
                                 critical_exponent, exponent_of, is_free,
@@ -102,7 +102,7 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
         r for r in expected if r[1] >= min_period]
     b = ExponentBound.parse(spec)
     assert sorted(runs.violations(w, b.min_violating_length)) == [
-        r for r in expected if b.violated_by(F(r[0], r[1]))]
+        r for r in expected if violates(b, F(r[0], r[1]))]
     if expected:
         best = max(expected, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
         assert runs.max_stretch_ratio(w) == best, w
@@ -111,7 +111,7 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
     # the scan sized by the bound, and the rising need of max_stretch_ratio,
     # above min_period
     assert sorted(runs.iter_runs(w, min_period, b.min_violating_length)) == [
-        r for r in expected if r[1] >= min_period and b.violated_by(F(r[0], r[1]))]
+        r for r in expected if r[1] >= min_period and violates(b, F(r[0], r[1]))]
     tail = [r for r in expected if r[1] >= min_period]
     best = (max(tail, key=lambda r: (F(r[0], r[1]), -r[2], -r[1])) if tail
             else (1, min_period, 0))
@@ -129,7 +129,7 @@ def test_iter_runs_below_two_match_maximal_stretch_oracle(w, min_period, spec):
     got = list(runs.iter_runs(w, min_period, b.min_violating_length))
     assert sorted(got) == sorted(
         r for r in maximal_stretches(w)
-        if r[1] >= min_period and b.violated_by(F(r[0], r[1]))), (w, min_period)
+        if r[1] >= min_period and violates(b, F(r[0], r[1]))), (w, min_period)
 
 
 @pytest.mark.parametrize("kind", ["nu_p", "mu_p"])
@@ -290,12 +290,26 @@ def test_incremental_checker_agreement_exhaustive():
         _incremental_tree_agrees(ExponentBound.parse(spec), 13)
 
 
+def _accepts(chk, w):
+    """Feed a whole word through push/pop; True iff every push passed."""
+    ok = True
+    n = 0
+    for c in w:
+        n += 1
+        if not chk.push(c):
+            ok = False
+            break
+    for _ in range(n):
+        chk.pop()
+    return ok
+
+
 @settings(max_examples=40)
 @given(st.text(alphabet="01", min_size=1, max_size=60),
        st.sampled_from(["7/3+", "2", "5/2+", "3", "28/11"]))
 def test_incremental_accepts_iff_free(w, spec):
     b = ExponentBound.parse(spec)
-    assert IncrementalFreeChecker(b).accepts(w) == (is_free(w, b) is None)
+    assert _accepts(IncrementalFreeChecker(b), w) == (is_free(w, b) is None)
 
 
 def test_incremental_checker_band_table_stays_logarithmic():

@@ -293,7 +293,6 @@ def test_ternary_family_registry():
     assert max(len(f) for f in IMAGE_FORBIDDEN["nu"]) == 16
 
 
-@pytest.mark.slow
 def test_factor_equivalence_image_languages():
     from palfree.structure import named_stream
     for kind, key in (("mu_p", "mu"), ("nu_p", "nu")):

@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from conftest import return_word_oracle, special_factor_oracle
-from palfree.cubic import solve_sequence
+from conftest import closed_form, return_word_oracle, special_factor_oracle
+from palfree.cubic import as_complex, solve_sequence
 from palfree.morphisms import Morphism, load_morphism
 from palfree.runs import max_stretch_ratio
 from palfree.structure import (SHORT_BISPECIAL_RATIOS, TARGET_RATIO,
@@ -17,7 +17,7 @@ from palfree.structure import (SHORT_BISPECIAL_RATIOS, TARGET_RATIO,
                                family_bispecial, family_members,
                                family_ratio_analysis, MorphicStream,
                                length_sequence, named_stream,
-                               palindromes, paper_display_checks, return_words,
+                               palindromes, return_words,
                                structural_exponent, tail_bound,
                                asymptotic_exponent)
 from palfree.words import factors, palindrome_set
@@ -75,6 +75,16 @@ def test_cover_is_the_iterate_the_argument_names():
                    ("nu_p", 1): 13, ("nu_p", 78): 2048, ("nu_p", 202): 6307,
                    ("nu_p", 500): 11068, ("mu_p", 1): 26, ("mu_p", 78): 4231,
                    ("mu_p", 202): 13030, ("mu_p", 500): 22866}
+
+
+def test_cover_refuses_blocks_that_stop_growing():
+    """Under 0 -> 01, 1 -> 1 the block of 1 keeps one letter forever, so the
+    argument gives no cover of length 3: cover refuses rather than iterate
+    forever.  Length 2 needs one-letter blocks only and is served."""
+    stream = MorphicStream("x", Morphism(("01", "1")), "0")
+    assert stream.cover(2) == "011"
+    with pytest.raises(ValueError, match="stops growing at length 1"):
+        stream.cover(3)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +349,52 @@ def test_tail_bound_reports_interval_sides():
     assert tb.holds and tb.n0 >= 1
 
 
+def paper_display_checks() -> dict[str, bool]:
+    """The eight literal tail displays from the source analysis, evaluated
+    in interval arithmetic (historical record; structure.tail_bound
+    is what the verdicts rest on).  One display (mu families, D) is known
+    not to hold numerically even though its family is bounded."""
+    c1, c2, c3, c4 = (solve_sequence(tuple(length_sequence(kind, base, 2)),
+                                     Fraction(1, 10 ** 13))
+                      for kind in ("nu_p", "mu_p") for base in ("012", "01"))
+    beta = c1.beta
+    b2 = beta * beta
+    lam = c1.lam()
+    la = lam.abs()
+    lam2 = lam * lam
+    one_m_l2 = as_complex(1) - lam2
+    a1ml2 = one_m_l2.abs()
+    A1, B1 = c1.A, c1.B.abs()
+    A2, B2c = c2.A, c2.B
+    B2 = B2c.abs()
+    A3, B3 = c3.A, c3.B.abs()
+    A4, B4c = c4.A, c4.B
+    B4 = B4c.abs()
+    la2 = la * la
+    la4 = la2 * la2
+    checks = {
+        "nu-pre": (2 / (b2 - 1)).certainly_leq(1),
+        "nu-A": (8 + 8 * B1 * la / a1ml2).certainly_leq(
+            2 * A1 * beta / (b2 - 1) - 2 * B1 * la),
+        "nu-B": (2 + 8 * B1 / a1ml2).certainly_leq(
+            2 * A1 / (b2 - 1) - 2 * B1),
+        "nu-C": (4 + 4 * (B2c / one_m_l2).re + 4 * B2 * la4 / a1ml2).certainly_leq(
+            2 * A2 / (b2 - 1) - 2 * B2 * la4),
+        "nu-D": (4 + 8 * B2 * la / a1ml2).certainly_leq(
+            2 * A2 * beta / (b2 - 1) - 2 * B2 * la),
+        "mu-pre": (11 / (b2 - 1)).certainly_leq(6),
+        "mu-A": (66 + 44 * B3 * la / a1ml2).certainly_leq(
+            11 * A3 * beta / (b2 - 1) - 12 * B3 * la),
+        "mu-B": (66 + 22 * B3 * (1 + la2) / a1ml2).certainly_leq(
+            11 * A3 / (b2 - 1) + A3 * b2 * (6 - 11 / (b2 - 1)) - 12 * B3 * la2),
+        "mu-C": (22 * B4 * (1 + la2) / a1ml2).certainly_leq(
+            11 * A4 / (b2 - 1) + A4 * b2 * (6 - 11 / (b2 - 1)) - 12 * B4 * la2),
+        "mu-D": (88 + 22 * (B4c * lam / one_m_l2).re + 22 * B4 * la / a1ml2).certainly_leq(
+            11 * A4 * beta / (b2 - 1) - 12 * B4 * la),
+    }
+    return checks
+
+
 def test_paper_display_checks():
     checks = paper_display_checks()
     failing = sorted(k for k, ok in checks.items() if not ok)
@@ -435,7 +491,7 @@ def test_sequence_solver_interface():
     cc = solve_sequence(tuple(ints[:3]))
     assert cc.seeds == (6, 10, 17)
     for n in (0, 5, 12):
-        assert cc.evaluate(n).contains(ints[n])
+        assert closed_form(cc, n).contains(ints[n])
 
 
 def test_asymptotic_exponent_shared():
@@ -447,7 +503,6 @@ def test_asymptotic_exponent_shared():
         asymptotic_exponent("fibonacci")
 
 
-@pytest.mark.slow
 def test_empirical_asymptotic_trend():
     """The largest exponent among repetitions of period >= 50 in a long
     prefix is close to the asymptotic exponent."""

@@ -9,14 +9,24 @@ from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
 from palfree.morphisms import Morphism
 from palfree.repetition import ExponentBound, IncrementalFreeChecker, is_free
+from palfree.search import Walk
 from palfree.transfer import (ImageState, TransferInstance,
-                              _palindromes_of_image_language,
-                              enumerate_free_words, load_instance,
+                              _palindromes_of_image_language, load_instance,
                               mrs_threshold, palindrome_cut_index,
                               shipped_instances, verify_palindrome_budget,
                               verify_transfer)
+from palfree.words import ALPHABETS
 
 F = Fraction
+
+
+def enumerate_free_words(alphabet_size: int, bound: ExponentBound, max_len: int):
+    """Every bound-free word of length <= max_len over 0..d-1, the empty
+    word first, within each length in lexicographic order."""
+    out = [""]
+    Walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
+         out.append).run([""])
+    return sorted(out, key=lambda w: (len(w), w))
 
 
 def test_mrs_threshold_values():

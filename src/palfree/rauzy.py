@@ -50,23 +50,23 @@ def build_rauzy(words) -> RauzyGraph:
 
 
 def survivor_set(bound, pal_budget: int, ell: int, margin: int | None = None,
-                 symmetry: bool = True, node_budget: int | None = None,
-                 first_completion: bool = False):
+                 symmetry: bool = True, node_budget: int | None = None):
     """Length-ell binary words v admitting a valid context p v s with
     |p| = |s| = margin: the context must satisfy the exponent bound and the
     distinct-palindrome budget (empty word included).
 
     margin defaults to ell, the narrowest context the component arguments
     use; larger margins weed out windows with no long-range extension.
-    first_completion: as in extendable_middles (the same set, fewer nodes).
     Returns (set of words, stats dict).
     """
     if ell < 2:
         raise ValueError("survivor windows need ell >= 2")
-    margin = ell if margin is None else margin
-    c = SearchConstraints(2, bound, pal_budget)
-    middles, stats = extendable_middles(c, ell, margin, node_budget, symmetry,
-                                        first_completion)
+    if margin is None:
+        margin = ell
+    c = SearchConstraints(alphabet_size=2, exponent=bound,
+                          palindrome_budget=pal_budget)
+    middles, stats = extendable_middles(c, ell, margin, node_budget=node_budget,
+                                        symmetry=symmetry)
     stats = dict(stats, margin=margin, symmetry=symmetry)
     return middles, stats
 

@@ -167,11 +167,8 @@ class Walk:
 
     state is any push/pop object (ConstraintState, IncrementalFreeChecker,
     ImageState); every push is paired with a pop, also when the walk stops.
-    visit(word) runs on every accepted non-empty word; Walk.PRUNE skips the
-    words below it, any other true result stops the walk.  nodes counts the
-    pushes made below the roots."""
-
-    PRUNE = object()  # a visit result: walk nothing below this word
+    visit(word) runs on every accepted non-empty word; a true result stops
+    the walk.  nodes counts the pushes made below the roots."""
 
     def __init__(self, state, letters: str, depth: int, visit,
                  node_budget: int | None = None):
@@ -199,10 +196,9 @@ class Walk:
                     if not state.push(ch):
                         break
                 else:
-                    seen = self.visit(root) if root else None
-                    if seen and seen is not Walk.PRUNE:
+                    if root and self.visit(root):
                         self.stopped = True
-                    elif not seen and len(root) < self.depth:
+                    elif len(root) < self.depth:
                         rest = self._rec(root)
             finally:
                 for _ in range(pushed):
@@ -224,10 +220,7 @@ class Walk:
             try:
                 if push(ch):
                     word = prefix + ch
-                    seen = visit(word)
-                    if seen:
-                        if seen is Walk.PRUNE:
-                            continue
+                    if visit(word):
                         self.stopped = True
                         return None
                     if deeper:
@@ -482,30 +475,25 @@ def replay_proof(log: ProofLog, m, image_forbidden) -> bool:
 
 
 def extendable_middles(c: SearchConstraints, length: int, margin: int,
-                       node_budget: int | None = None, symmetry: bool = False,
-                       first_completion: bool = False):
+                       node_budget: int | None = None, symmetry: bool = False):
     """All middle windows w[margin:margin+length] over words w of length
     length + 2*margin satisfying c.  With symmetry=True only words starting
     with letter 0 are walked and the result is closed under letter
     permutations; it raises SymmetryError unless c.permutation_invariant().
-    first_completion=True skips the words whose middle is already found:
-    the same middles, each walked to its first completion only.
 
     Returns (middles, stats), or raises BudgetExceeded with the stats.
     """
     if symmetry:
         _require_invariant(c)
-    cut, total = margin + length, length + 2 * margin
+    total = length + 2 * margin
     letters = ALPHABETS[c.alphabet_size]
     middles: set[str] = set()
     stats = {"nodes": 0, "leaves": 0}
 
-    def visit(word: str):
-        if first_completion and len(word) >= cut and word[margin:cut] in middles:
-            return Walk.PRUNE
+    def visit(word: str) -> None:
         if len(word) == total:
             stats["leaves"] += 1
-            middles.add(word[margin:cut])
+            middles.add(word[margin:margin + length])
 
     walk = Walk(ConstraintState(c), letters, total, visit, node_budget)
     # the symmetric walk starts below letter 0, whose push is not a node

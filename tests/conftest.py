@@ -24,26 +24,18 @@ def mu_word():
 
 
 def brute_critical_exponent(w):
-    """Definitional oracle: maximal exponent |v| / (smallest period of v)
-    over all factors v.  The factors starting at i are the prefixes of
-    w[i:], and one border array of w[i:] gives each prefix's smallest
-    period, its length minus its longest border."""
-    best_len, best_per = 1, 1
+    """Definitional oracle: maximal exponent over all factors."""
+    from fractions import Fraction
+
+    from palfree.repetition import exponent_of
+    best = Fraction(1)
     n = len(w)
     for i in range(n):
-        border = [0] * (n - i)
-        k = 0
-        for j in range(1, n - i):
-            c = w[i + j]
-            while k and c != w[i + k]:
-                k = border[k - 1]
-            if c == w[i + k]:
-                k += 1
-            border[j] = k
-            # the prefix of length j + 1 has smallest period j + 1 - k
-            if (j + 1) * best_per > best_len * (j + 1 - k):
-                best_len, best_per = j + 1, j + 1 - k
-    return Fraction(best_len, best_per)
+        for j in range(i + 1, n + 1):
+            e, _ = exponent_of(w[i:j])
+            if e > best:
+                best = e
+    return best
 
 
 def closed_form(cc, n):

@@ -235,11 +235,8 @@ def test_criterion_8_preimage_provers():
 def test_criterion_9_rauzy_construction():
     t0 = time.monotonic()
     # the 18-palindrome instance at window 20 (margin 40 separates; the
-    # stated margin-20 construction stays connected, see the README notes);
-    # both walks stop at each window's first completion, which leaves the
-    # survivor sets as the full walks give them
-    surv, stats = survivor_set(ExponentBound.parse("13/5"), 18, 20, margin=40,
-                               first_completion=True)
+    # stated margin-20 construction stays connected, see the README notes)
+    surv, stats = survivor_set(ExponentBound.parse("13/5"), 18, 20, margin=40)
     arcs = trim_to_essential(surv)
     comps = components(build_rauzy(arcs), "weak")
     orb = symmetry_orbits(comps)
@@ -253,8 +250,7 @@ def test_criterion_9_rauzy_construction():
              and all(chosen[0].avoids(f) for f in IMAGE_FORBIDDEN["mu"])
              and max(len(f) for f in IMAGE_FORBIDDEN["mu"]) == 19 <= 20)
 
-    surv78, stats78 = survivor_set(ExponentBound.parse("28/11"), 20, 78, margin=78,
-                                   first_completion=True)
+    surv78, stats78 = survivor_set(ExponentBound.parse("28/11"), 20, 78, margin=78)
     comps78 = components(build_rauzy(surv78), "strong")
     orb78 = symmetry_orbits(comps78)
     chosen78 = [c for c in comps78 if c.avoids("1011")]

@@ -11,7 +11,7 @@ from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             TERNARY_FORBIDDEN, BudgetExceeded, ConstraintState,
                             ExhaustionCertificate, Inconclusive, Reached,
-                            SearchConstraints, SymmetryError, Walk, count_words,
+                            SearchConstraints, SymmetryError, count_words,
                             estimate_growth, extendable_middles,
                             prove_preimage_forbidden, replay_proof,
                             run_preimage_family, search)
@@ -204,41 +204,6 @@ def test_extendable_middles_symmetry_guard_and_closure():
     full, _ = extendable_middles(c, 3, 1)
     reduced, _ = extendable_middles(c, 3, 1, symmetry=True)
     assert reduced == full and full
-
-
-@pytest.mark.parametrize("c, length, margin, symmetry", [
-    (SearchConstraints(2, ExponentBound.parse("13/5"), 14), 6, 8, True),
-    (SearchConstraints(2, ExponentBound.parse("28/11"), 20), 10, 12, True),
-    (SearchConstraints(2, ExponentBound.parse("7/3"), None), 5, 7, False),
-    (SearchConstraints(2, ExponentBound.parse("3"), None, IMAGE_FORBIDDEN["nu"]), 12, 12, False),
-    (SearchConstraints(3, ExponentBound(F(2), strict=False)), 3, 4, False),
-], ids=["13/5-pal14", "28/11-pal20", "7/3", "nu-forbidden", "ternary-squarefree"])
-def test_extendable_middles_first_completion_finds_the_same_middles(c, length, margin,
-                                                                    symmetry):
-    """Skipping the words whose middle is already found leaves the middles as
-    the full walk finds them; without symmetry each middle is one leaf."""
-    full, full_stats = extendable_middles(c, length, margin, symmetry=symmetry)
-    fast, fast_stats = extendable_middles(c, length, margin, symmetry=symmetry,
-                                          first_completion=True)
-    assert fast == full and full
-    assert fast_stats["nodes"] < full_stats["nodes"]
-    if not symmetry:
-        assert fast_stats["leaves"] == len(full) < full_stats["leaves"]
-
-
-def test_walk_prune_skips_only_the_words_below():
-    """A PRUNE visit result, at a root or below one, skips the words below
-    that word; the walk goes on with its siblings."""
-    seen = []
-
-    def visit(word):
-        seen.append(word)
-        return Walk.PRUNE if word in ("0", "10") else None
-
-    walk = Walk(ConstraintState(SearchConstraints(2)), "01", 3, visit)
-    assert walk.run(["0", "1"]) is None and not walk.stopped
-    assert seen == ["0", "1", "10", "11", "110", "111"]
-    assert walk.nodes == 4
 
 
 def test_extendable_middles_budget_counts_the_refused_attempt():

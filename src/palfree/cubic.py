@@ -114,7 +114,8 @@ def sqrt_interval(x: Interval, width: Fraction = DEFAULT_WIDTH) -> Interval:
                 r = nxt
                 break
             r = nxt
-        while r * r > v:
+        # below zero r * r grows again: stop there, 0 is a lower bound too
+        while r > 0 and r * r > v:
             r -= width / 2
         return max(r, Fraction(0))
 

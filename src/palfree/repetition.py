@@ -106,7 +106,13 @@ def critical_exponent(w: str, with_witness: bool = False):
     The run scan of runs.max_stretch_ratio is exact whenever the answer is
     >= 2; below that (square-free words) the quadratic scan
     _max_stretch_exact is run.  Both pick the same witness: highest ratio,
-    then leftmost start, then shortest period.
+    then leftmost start, then shortest period.  The run scan takes periods
+    below runs._MASKED by whole-word match masks (O(n) C-level byte work
+    per period) and longer ones by banded block sampling (O(n) Python steps
+    per band); the runs.py docstring gives the cost model behind the
+    crossover.  Any str is accepted: letters past U+00FF are mapped to
+    ranks for the masks, and a word of more than 256 distinct letters is
+    scanned by blocks alone.
     """
     if not w:
         raise ValueError("critical exponent of the empty word")
@@ -124,7 +130,12 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
     leftmost-end-then-shortest order.
 
     Bounds >= 2 take the earliest-ending violation among runs.violations,
-    a runs scan whose blocks grow with the bound.  Below 2 violating
+    a runs scan in two regimes: periods below runs._MASKED by whole-word
+    match masks, one bytes.find of need(p) - p zero bytes per stretch
+    (O(n) C-level byte work per period), and longer periods by banded
+    blocks that grow with the bound (O(n) Python steps per band); the
+    runs.py docstring gives the cost model behind the crossover.  Any str
+    is accepted, as in critical_exponent.  Below 2 violating
     stretches are far more numerous than runs, so lower bounds feed w to an
     IncrementalFreeChecker, which stops at the first violation: its first
     refused letter is the leftmost violating end, and there the smallest

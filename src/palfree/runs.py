@@ -1,4 +1,5 @@
-"""Runs (maximal stretches) by banded block sampling, sized by the bound.
+"""Runs (maximal stretches): match masks for short periods, banded block
+sampling, sized by the bound, for the rest.
 
 A stretch is a triple (length, period, start): a factor of that length all
 of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
@@ -8,31 +9,60 @@ exponent < 2 are not reported and callers treat a maximum below 2 as "no
 run": repetition.critical_exponent then scans the word quadratically, and
 repetition.is_free uses the incremental checker for bounds below 2.
 
-Periods are scanned in bands [P, 2P), with blocks w[i:i+h] at every multiple
-i of h.  The block length comes from the bound: with lo = max(P, min_period),
-h = max(1, (need(lo) - lo + 1) // 2).  A run of period p in the band that
-starts at s and holds L >= need(p) letters holds both w[i:i+h] and its copy
-w[i+p:i+p+h] for every i in [s, s + L - p - h]: at least need(p) - p - h + 1
-positions, which is at least h because need(p) - p does not decrease in p,
-so one of them is a multiple of h.  For need = 2p that is the classical
-h = P/2; for the bounds 5/2 and 28/11 the blocks are about 1.5 times longer,
-so far fewer candidates are extended.  One str.find of each block over the
-window p in [lo, 2P) yields every candidate period; a candidate whose block
-pair lies inside the last stretch found at that period belongs to it and is
-skipped, and any other is extended to its stretch by two
-longest-common-extension queries (galloping slice comparisons, backwards
-ones on the reversed word).
+Periods below _MASKED are scanned one at a time by a match mask of the
+whole word.  With b the word at one byte per letter and B its big-endian
+integer, x = ((B >> 8p) ^ B).to_bytes(n) has x[i] == 0 exactly when
+w[i - p] == w[i] (i >= p; x[:p] is b[:p] and is never searched).  A stretch
+of period p and length L is a maximal run of L - p zero bytes, so one
+bytes.find of need(p) - p zero bytes gives the leftmost next stretch at
+least need(p) long, already maximal on the left, and one
+longest-common-extension query (galloping slice comparisons) extends it to
+the right.  Each period costs O(n) C-level byte work whatever the bound,
+plus one extension per stretch found.  A word is mapped to one byte per
+letter by latin-1, or by the letters' ranks when some letter is past
+U+00FF; a word of more than 256 distinct letters has no such map, and all
+its periods take the banded scan.
 
-The bands run from the longest periods down, and need is read again at each
-band and at each candidate, so a caller may raise it while the scan runs:
-max_stretch_ratio asks only for stretches at least as good as the best found
-so far, and the long-period bands, scanned first, set a high bar early.
-This is the line of Kolpakov and Kucherov (FOCS 1999); see also Crochemore
-and Ilie, "Maximal repetitions in strings", JCSS 74 (2008), and Bannai et
-al., "The 'Runs' Theorem", SIAM J. Comput. 2017.
+Periods from _MASKED up are scanned in bands [P, 2P), with blocks w[i:i+h]
+at every multiple i of h.  The block length comes from the bound: with
+lo = max(P, min_period), h = max(1, (need(lo) - lo + 1) // 2).  A run of
+period p in the band that starts at s and holds L >= need(p) letters holds
+both w[i:i+h] and its copy w[i+p:i+p+h] for every i in [s, s + L - p - h]:
+at least need(p) - p - h + 1 positions, which is at least h because
+need(p) - p does not decrease in p, so one of them is a multiple of h.  For
+need = 2p that is the classical h = P/2; for the bounds 5/2 and 28/11 the
+blocks are about 1.5 times longer, so far fewer candidates are extended.
+One str.find of each block over the window p in [lo, 2P) yields every
+candidate period; a candidate whose block pair lies inside the last stretch
+found at that period belongs to it and is skipped, and any other is
+extended to its stretch by two longest-common-extension queries (the
+backward one on the reversed word).
+
+The cost model behind _MASKED: a masked period costs about n bytes of
+C-level shifts, XORs and conversion (about 0.1 ms at n = 5*10^4), plus the
+stretches it finds.  A band [P, 2P) costs about 2n/P block finds, plus one
+extension test per candidate, and a short block recurs many times within P
+letters of a low-complexity word.  On a 5*10^4-letter prefix of nu_p (2
+vCPUs, Python 3.11) band [32, 64) took 16 ms against 4 ms for its 32
+masks, band [64, 128) 6 ms against 6 ms, and band [128, 256) under 1 ms
+against 13 ms.  Both costs are linear in n, so the crossover does not move
+with the word's length.
+
+The bands run from the longest periods down, then the masked periods from
+_MASKED - 1 down, and need is read again at each band, each period and each
+candidate, so a caller may raise it while the scan runs: max_stretch_ratio
+asks only for stretches at least as good as the best found so far, and the
+long-period bands, scanned first, set a high bar early.  This is the line of
+Kolpakov and Kucherov (FOCS 1999); see also Crochemore and Ilie, "Maximal
+repetitions in strings", JCSS 74 (2008), and Bannai et al., "The 'Runs'
+Theorem", SIAM J. Comput. 2017.
 """
 
 from __future__ import annotations
+
+# periods below this are scanned by match masks, the rest by banded blocks
+# (cost model in the module docstring); a power of two, so the bands align
+_MASKED = 64
 
 
 def _lce(s: str, a: int, b: int) -> int:
@@ -55,23 +85,40 @@ def _square(p: int) -> int:
     return 2 * p
 
 
+def _one_byte(w: str) -> bytes | None:
+    """w at one byte per letter, letters keeping their equalities, or None
+    when w has more than 256 distinct letters."""
+    try:
+        return w.encode("latin-1")
+    except UnicodeEncodeError:
+        letters = sorted(set(w))
+        if len(letters) > 256:
+            return None
+        return w.translate({ord(c): i for i, c in enumerate(letters)}).encode("latin-1")
+
+
 def iter_runs(w: str, min_period: int = 1, need=None):
     """Yield (length, period, start) for every maximal stretch with
     period >= min_period and length >= need(period), each once.  need
     defaults to 2*period; need(p) - p must be at least 1 and must not
-    decrease in p, and may rise between yields."""
+    decrease in p, and may rise between yields.  Raises ValueError when
+    min_period < 1 or need(min_period) - min_period < 1, before scanning."""
     if need is None:
         need = _square
+    if min_period < 1 or need(min_period) <= min_period:
+        raise ValueError("iter_runs needs min_period >= 1 and need(p) > p")
     n = len(w)
+    b = _one_byte(w) if min_period < _MASKED and need(min_period) <= n else None
+    first = min_period if b is None else max(min_period, _MASKED)  # the bands' least period
     rev = w[::-1]
     find = w.find
     bands = []
-    P = 1 << (min_period.bit_length() - 1)
-    while need(max(P, min_period)) <= n:
+    P = 1 << (first.bit_length() - 1)
+    while need(max(P, first)) <= n:
         bands.append(P)
         P += P
     for P in reversed(bands):
-        lo = max(P, min_period)
+        lo = max(P, first)
         m = need(lo)
         if m > n:
             continue
@@ -96,6 +143,25 @@ def iter_runs(w: str, min_period: int = 1, need=None):
                     if stop - st >= need(p):
                         yield stop - st, p, st
                 j = find(block, j + 1, end)
+    if b is None:
+        return
+    B = int.from_bytes(b, "big")
+    for p in range(min(_MASKED, n) - 1, min_period - 1, -1):
+        m = need(p)
+        if m > n:
+            continue
+        # x[i] == 0 exactly when w[i - p] == w[i], for i >= p
+        x = ((B >> 8 * p) ^ B).to_bytes(n, "big")
+        i = x.find(bytes(m - p), p)
+        while i >= 0:
+            st = i - p
+            stop = st + m
+            stop += _lce(w, stop - p, stop)
+            if stop - st >= need(p):
+                yield stop - st, p, st
+                m = need(p)
+            # x[stop] is the mismatch that ends this stretch
+            i = x.find(bytes(m - p), stop + 1)
 
 
 def max_stretch_ratio(w: str, min_period: int = 1):

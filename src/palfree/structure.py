@@ -81,6 +81,24 @@ class MorphicStream(Stream):
             self._word = self._image(self._iterate)
         return self._word[:n]
 
+    def primitive(self) -> bool:
+        """Whether inner is primitive on the letters A of its fixed point:
+        every letter's image under inner^k holds every letter of A, for
+        k = (|A| - 1)^2 + 1, Wielandt's bound on the exponent of a
+        primitive |A| x |A| matrix.  The fixed point of a primitive
+        morphism, and so its outer image, is uniformly recurrent."""
+        images = [set(img) for img in self.inner.images]
+        letters = set(self.seed)
+        while (grown := letters.union(*(images[int(c)] for c in letters))) != letters:
+            letters = grown
+        for c in letters:
+            reach = {c}
+            for _ in range((len(letters) - 1) ** 2 + 1):
+                reach = set().union(*(images[int(d)] for d in reach))
+            if reach != letters:
+                return False
+        return True
+
     def cover(self, n: int) -> str:
         """outer(inner^(j+k)(seed)), j and k as in the module docstring.
 
@@ -196,7 +214,12 @@ def return_words(w: str, stream: Stream) -> ReturnWordSet:
     """The gaps between consecutive occurrences of w in cover(m + 1), m
     doubling from 2|w| + 2 until every length-m window there contains w.
     Then every complete return word r.w has at most m + 1 letters, so it is
-    a gap there.  Some m passes on a uniformly recurrent word."""
+    a gap there.  Some m passes on a uniformly recurrent word; a morphic
+    stream whose inner morphism is not primitive raises ValueError first,
+    since a gap there may be unbounded (0 in 01^w of 0 -> 01, 1 -> 11)."""
+    if isinstance(stream, MorphicStream) and not stream.primitive():
+        raise ValueError(f"the morphism of {stream.name} is not primitive: "
+                         "its return words need not be bounded")
     m = 2 * len(w) + 2
     while True:
         text = stream.cover(m + 1)

@@ -132,6 +132,81 @@ def test_iter_runs_below_two_match_maximal_stretch_oracle(w, min_period, spec):
         if r[1] >= min_period and violates(b, F(r[0], r[1]))), (w, min_period)
 
 
+@st.composite
+def crossover_words(draw):
+    """Words over 1-3 letters made of one or two periodic pieces of period
+    runs._MASKED - 1, runs._MASKED or runs._MASKED + 1, each up to three
+    periods long, with up to two letters changed."""
+    alphabet = draw(st.sampled_from(["0", "01", "012"]))
+    w = ""
+    for _ in range(draw(st.integers(1, 2))):
+        p = runs._MASKED + draw(st.integers(-1, 1))
+        u = draw(st.text(alphabet=alphabet, min_size=p, max_size=p))
+        w += (u * 3)[:draw(st.integers(p, 3 * p))]
+    for i in draw(st.lists(st.integers(0, len(w) - 1), max_size=2)):
+        w = w[:i] + draw(st.sampled_from(alphabet)) + w[i + 1:]
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(crossover_words(), st.integers(-1, 1), st.booleans(),
+       st.sampled_from([None, "6/5+", "3/2", "5/2+", "28/11+"]))
+def test_iter_runs_across_the_mask_crossover(w, offset, from_one, spec):
+    """Periods below runs._MASKED are scanned by match masks and the rest by
+    banded blocks: around the crossover, with min_period on either side of
+    it, the scan still yields every stretch of the bound once, and
+    max_stretch_ratio's rising need still finds the best ratio."""
+    min_period = 1 if from_one else runs._MASKED + offset
+    oracle = [r for r in maximal_stretches(w) if r[1] >= min_period]
+    if spec is None:
+        need, expected = None, [r for r in oracle if r[0] >= 2 * r[1]]
+    else:
+        b = ExponentBound.parse(spec)
+        need = b.min_violating_length
+        expected = [r for r in oracle if violates(b, F(r[0], r[1]))]
+    got = list(runs.iter_runs(w, min_period, need))
+    assert sorted(got) == sorted(expected) and len(set(got)) == len(got), (w, min_period)
+    squares = [r for r in oracle if r[0] >= 2 * r[1]]
+    best = (max(squares, key=lambda r: (F(r[0], r[1]), -r[2], -r[1])) if squares
+            else (1, min_period, 0))
+    assert runs.max_stretch_ratio(w, min_period) == best, (w, min_period)
+
+
+# letters past U+00FF: mapped to ranks for the match masks; more than 256
+# distinct letters have no one-byte map and take the banded scan throughout
+_WIDE = "".join(map(chr, range(0x100, 0x100 + 257)))
+
+
+@pytest.mark.parametrize("w", [
+    "αβ" * 3, "aα" * 3 + "b", "αβγ" * 2 + "α", "\xff\u0100" * 4,
+    "0" + "\x00" * 5 + "1", _WIDE[:40] * 2 + _WIDE + "ab" * 3,
+    _WIDE[:70] * 2 + _WIDE[:5] + "\u4e00" * 3,
+])
+def test_runs_scan_letters_past_one_byte(w):
+    """Any str gets the oracle's answer, whatever its letters' code points."""
+    expected = sorted(r for r in maximal_stretches(w) if r[0] >= 2 * r[1])
+    assert sorted(runs.iter_runs(w)) == expected
+    for spec in ("2", "5/2+", "3", "6/5+"):
+        b = ExponentBound.parse(spec)
+        assert is_free(w, b) == _first_violation_scan(w, b), (w, spec)
+    stretches = maximal_stretches(w) or [(1, 1, 0)]
+    ln, p, st_ = max(stretches, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
+    assert critical_exponent(w, with_witness=True) == (F(ln, p), w[st_:st_ + ln])
+    if len(w) <= 14:
+        assert critical_exponent(w) == brute_critical_exponent(w)
+
+
+@pytest.mark.parametrize("min_period, need", [
+    (1, lambda p: p), (3, lambda p: 2 * p if p > 3 else 3), (0, None), (-2, None),
+])
+def test_iter_runs_refuses_need_not_above_the_period(min_period, need):
+    """A min_period below 1, or need(min_period) <= min_period, is refused
+    before any stretch is yielded: need(p) = p would make a match mask
+    search for an empty run of matching letters."""
+    with pytest.raises(ValueError, match="need"):
+        next(runs.iter_runs("0101010011", min_period, need))
+
+
 @pytest.mark.parametrize("kind", ["nu_p", "mu_p"])
 def test_violations_on_long_prefixes_match_filtered_square_scan(kind):
     """On 5*10^4 letters of the paper's words, the scan sized by the bound

@@ -425,6 +425,17 @@ def test_bispecial_exponent_rejects_eventually_periodic():
         critical_exponent_via_bispecials(stream)
 
 
+def test_return_words_reject_a_stream_that_is_not_uniformly_recurrent():
+    # 0 occurs once in 0 1^w: the gap after it is unbounded, so the doubling
+    # of the window would never end
+    stream = MorphicStream("01^w", Morphism(("01", "11")), "0")
+    assert not stream.primitive()
+    with pytest.raises(ValueError, match="not primitive"):
+        return_words("0", stream)
+    assert all(named_stream(k).primitive() for k in ("p", "nu_p", "mu_p"))
+    assert MorphicStream("t", Morphism(("01", "10")), "0").primitive()
+
+
 def test_enumerated_bispecials_match_family_forms(nu_stream, mu_stream):
     for kind, stream, extras in (
             ("nu_p", nu_stream, {"0", "1", "01", "10"}),

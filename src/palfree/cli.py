@@ -13,7 +13,7 @@ import shlex
 import sys
 import time
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf, isfinite
 
 from . import rauzy as rauzy_mod
 from . import search as search_mod
@@ -472,16 +472,19 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
 # order.  The parser, the canonical command line and the dispatch all derive
 # from it.
 
-def _int_at_least(least: int):
-    """An int flag type that refuses values below least."""
-    def parse(text: str) -> int:
+def _at_least(least, kind=int):
+    """A flag type that reads kind (int or float) and refuses values below
+    least, and a float that is not finite."""
+    def parse(text: str):
         try:
-            n = int(text)
+            x = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
-        return n
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if x < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {x}")
+        if kind is float and not isfinite(x):
+            raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+        return x
     return parse
 
 
@@ -515,25 +518,26 @@ def _flag(name: str, when=None, **kw):
 COMMANDS = {
     "verify-morphism": ("freeness transfer + palindrome budget", cert_verify_morphism, [
         _flag("--instance", required=True, choices=transfer_mod.shipped_instances()),
-        _flag("--window", type=_int_at_least(0)),
+        _flag("--window", type=_at_least(0)),
         _flag("--depth", type=int),
     ]),
     "optimality": ("nonexistence search certificate", cert_optimality, [
         _flag("--alphabet", type=int, choices=range(1, 5), default=2),
         _flag("--exp", type=_exp),
         _flag("--strict", choices=("true", "false")),
-        _flag("--pal", type=_int_at_least(1)),
+        _flag("--pal", type=_at_least(1)),
         _flag("--cap", type=int, default=400),
         _flag("--nodes", type=int),
         _flag("--symmetry", action="store_true"),
         _flag("--forbid", action="append", default=[]),
     ]),
     "growth": ("exact counts and growth estimate", cert_growth, [
-        _flag("--pal", type=_int_at_least(1), required=True),
-        _flag("--max-n", type=_int_at_least(1), default=60),
-        _flag("--window", type=_int_at_least(2)),
-        _flag("--expect", type=float),
-        _flag("--tol", when=lambda a: a.expect is not None, type=float, default=0.01),
+        _flag("--pal", type=_at_least(1), required=True),
+        _flag("--max-n", type=_at_least(1), default=60),
+        _flag("--window", type=_at_least(2)),
+        _flag("--expect", type=_at_least(-inf, float)),
+        _flag("--tol", when=lambda a: a.expect is not None, type=_at_least(0, float),
+              default=0.01),
     ]),
     "preimage-prove": ("refute forbidden factors in pre-images", cert_preimage, [
         _flag("--morphism", required=True, choices=("mu", "nu")),
@@ -543,10 +547,10 @@ COMMANDS = {
     "rauzy": ("survivor windows, components, comparison", cert_rauzy, [
         _flag("--exp", required=True, type=_exp),
         _flag("--strict", choices=("true", "false")),
-        _flag("--pal", type=_int_at_least(1), required=True),
-        _flag("--ell", type=_int_at_least(2), required=True),
+        _flag("--pal", type=_at_least(1), required=True),
+        _flag("--ell", type=_at_least(2), required=True),
         _flag("--mode", choices=("weak", "strong"), default="weak"),
-        _flag("--margin", type=_int_at_least(0)),
+        _flag("--margin", type=_at_least(0)),
         _flag("--trim", action="store_true"),
         _flag("--compare"),
         _flag("--select-avoiding"),
@@ -557,29 +561,29 @@ COMMANDS = {
         _flag("--word", required=True, type=_stream_name),
         _flag("--method", choices=("empirical", "bispecial", "closed-form"),
               default="empirical"),
-        _flag("--prefix", when=lambda a: a.method == "empirical", type=_int_at_least(1),
+        _flag("--prefix", when=lambda a: a.method == "empirical", type=_at_least(1),
               default=100000),
         _flag("--max-bs", when=lambda a: a.method == "bispecial", type=int, default=500,
               help="ignored: the bispecial method uses its own limit"),
-        _flag("--expect"),
+        _flag("--expect", type=_checked(Fraction, "not a fraction or decimal: {text!r}")),
         _flag("--bound", type=_checked(ExponentBound.parse, _BOUND)),
     ]),
     "structure": ("bispecial factors, families, return words", cert_structure, [
         _flag("--word", required=True, type=_stream_name),
-        _flag("--max-bs", type=_int_at_least(1), default=200),
-        _flag("--complexity-n", type=_int_at_least(1), default=500),
+        _flag("--max-bs", type=_at_least(1), default=200),
+        _flag("--complexity-n", type=_at_least(1), default=500),
     ]),
     "palindromes": ("distinct-palindrome count, checked against the exact set", cert_palindromes, [
         _flag("--word", required=True, type=_stream_name),
-        _flag("--prefix", type=_int_at_least(1), default=100000),
+        _flag("--prefix", type=_at_least(1), default=100000),
         _flag("--expect", type=int),
     ]),
     "splice": ("the glued word around 010110", cert_splice, [
-        _flag("--prefix", type=_int_at_least(0), default=100000),
-        _flag("--center", type=_int_at_least(6), default=200),
+        _flag("--prefix", type=_at_least(0), default=100000),
+        _flag("--center", type=_at_least(6), default=200),
     ]),
     "table1": ("classify and verify one cell", cert_table1, [
-        _flag("--p", type=_int_at_least(1), required=True),
+        _flag("--p", type=_at_least(1), required=True),
         _flag("--beta", required=True,
               type=_checked(Fraction, "not a fraction, inf or none: {text!r}", ("inf", "none")),
               help="column bound like 8/3, or inf"),
@@ -604,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
 
     s = sub.add_parser("verify-all", help="run the built-in verification battery")
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    s.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
     s.add_argument("--deep", action="store_true",
                    help="include the ell=78 strong-component run (minutes)")
     s.add_argument("--out-dir")
@@ -677,7 +681,8 @@ def cmd_verify_all(args) -> int:
     jobs = BATTERY + (DEEP_BATTERY if args.deep else [])
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts every worker at once, so start no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             results = dict(pool.map(_battery_job, jobs))
     else:
         results = dict(map(_battery_job, jobs))

@@ -82,43 +82,16 @@ def exponent_of(w: str) -> tuple[Fraction, str]:
     return Fraction(len(w), p), w[:p]
 
 
-def _max_stretch_exact(w: str) -> tuple[int, int, int]:
-    """(length, period, start) maximizing length/period, ties going to the
-    leftmost start, then the shortest period, by full period scan."""
-    n = len(w)
-    bl, bp, bs = 1, 1, 0
-    for p in range(1, n):
-        run = 0
-        for i in range(p, n):
-            if w[i] == w[i - p]:
-                run += 1
-                a, b = (run + p) * bp, bl * p
-                if a > b or (a == b and (i - run - p + 1, p) < (bs, bp)):
-                    bl, bp, bs = run + p, p, i - run - p + 1
-            else:
-                run = 0
-    return bl, bp, bs
-
-
 def critical_exponent(w: str, with_witness: bool = False):
     """max over factors v of |v| / smallest period of v, as an exact Fraction.
 
-    The run scan of runs.max_stretch_ratio is exact whenever the answer is
-    >= 2; below that (square-free words) the quadratic scan
-    _max_stretch_exact is run.  Both pick the same witness: highest ratio,
-    then leftmost start, then shortest period.  The run scan takes periods
-    below runs._MASKED by whole-word match masks (O(n) C-level byte work
-    per period) and longer ones by banded block sampling (O(n) Python steps
-    per band); the runs.py docstring gives the cost model behind the
-    crossover.  Any str is accepted: letters past U+00FF are mapped to
-    ranks for the masks, and a word of more than 256 distinct letters is
-    scanned by blocks alone.
+    The witness is the stretch that runs.critical_stretch picks: highest
+    ratio, then leftmost start, then shortest period.  Any str is accepted
+    (the runs.py docstring says how its letters are read).
     """
     if not w:
         raise ValueError("critical exponent of the empty word")
-    ln, p, st = runs.max_stretch_ratio(w)
-    if ln < 2 * p:
-        ln, p, st = _max_stretch_exact(w)
+    ln, p, st = runs.critical_stretch(w)
     e = Fraction(ln, p)
     if with_witness:
         return e, w[st:st + ln]
@@ -130,12 +103,8 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
     leftmost-end-then-shortest order.
 
     Bounds >= 2 take the earliest-ending violation among runs.violations,
-    a runs scan in two regimes: periods below runs._MASKED by whole-word
-    match masks, one bytes.find of need(p) - p zero bytes per stretch
-    (O(n) C-level byte work per period), and longer periods by banded
-    blocks that grow with the bound (O(n) Python steps per band); the
-    runs.py docstring gives the cost model behind the crossover.  Any str
-    is accepted, as in critical_exponent.  Below 2 violating
+    the runs scan sized by the bound (the runs.py docstring describes its
+    two regimes and the letters it accepts).  Below 2 violating
     stretches are far more numerous than runs, so lower bounds feed w to an
     IncrementalFreeChecker, which stops at the first violation: its first
     refused letter is the leftmost violating end, and there the smallest

@@ -4,10 +4,8 @@ sampling, sized by the bound, for the rest.
 A stretch is a triple (length, period, start): a factor of that length all
 of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
 iter_runs(w, min_period, need) yields every stretch with length >=
-need(period) exactly once; need defaults to 2*period, so stretches of
-exponent < 2 are not reported and callers treat a maximum below 2 as "no
-run": repetition.critical_exponent then scans the word quadratically, and
-repetition.is_free uses the incremental checker for bounds below 2.
+need(period) exactly once, for any need with need(p) - p >= 1 not
+decreasing in p; need defaults to 2*period, the squares.
 
 Periods below _MASKED are scanned one at a time by a match mask of the
 whole word.  With b the word at one byte per letter and B its big-endian
@@ -164,22 +162,46 @@ def iter_runs(w: str, min_period: int = 1, need=None):
             i = x.find(bytes(m - p), stop + 1)
 
 
-def max_stretch_ratio(w: str, min_period: int = 1):
-    """(length, period, start) maximizing length/period over all maximal
-    stretches with period >= min_period, ties going to the leftmost start,
-    then the shortest period; exact whenever that maximum is >= 2, and
-    (1, min_period, 0) when there is no run."""
-    bl, bp, bs = 1, min_period, 0
+def _best_stretch(w: str, min_period: int, bl: int, bp: int):
+    """(length, period, start) maximizing length/period over the maximal
+    stretches with period >= min_period and length/period >= bl/bp, the
+    floor that the rising bar starts from; ties go to the leftmost start,
+    then the shortest period, and None means there is no such stretch."""
+    n = len(w)
+    bs = n  # the floor starts past every stretch, so a stretch that ties it wins
 
     def need(p):
-        # a square at least, and no shorter than a tie with the best so far
-        return max(2 * p, -(-p * bl // bp))
+        # no shorter than a tie with the best so far
+        return -(-p * bl // bp)
 
     for ln, p, st in iter_runs(w, min_period, need):
         a, b = ln * bp, bl * p
         if a > b or (a == b and (st, p) < (bs, bp)):
             bl, bp, bs = ln, p, st
-    return bl, bp, bs
+    return (bl, bp, bs) if bs < n else None
+
+
+def max_stretch_ratio(w: str, min_period: int = 1):
+    """(length, period, start) maximizing length/period over all maximal
+    stretches with period >= min_period, ties going to the leftmost start,
+    then the shortest period; exact whenever that maximum is >= 2, and
+    (1, min_period, 0) when there is no run."""
+    return _best_stretch(w, min_period, 2, 1) or (1, min_period, 0)
+
+
+def critical_stretch(w: str):
+    """(length, period, start) maximizing length/period over every maximal
+    stretch of w, ties as in max_stretch_ratio, or (1, 1, 0) when no letter
+    occurs twice.  Two passes: max_stretch_ratio looks among the squares,
+    and only when w has none is it rescanned for every stretch longer than
+    its period, under the same rising bar, need(p) = max(p + 1,
+    ceil(p * best))."""
+    ln, p, st = max_stretch_ratio(w)
+    if ln >= 2 * p:
+        return ln, p, st
+    # ceil(p * (n + 2) / (n + 1)) = p + 1 at every period p <= n
+    n = len(w)
+    return _best_stretch(w, 1, n + 2, n + 1) or (1, 1, 0)
 
 
 def violations(w: str, need):

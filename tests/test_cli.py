@@ -365,7 +365,10 @@ def test_rauzy_bridge_checks_the_selected_component(monkeypatch):
 
 def test_traced_names_resolve():
     """Every name the benchmark's tracer wraps exists where it looks for it:
-    a function in its palfree module, a method in its class's own dict."""
+    a function in its palfree module, a method in its class's own dict; and
+    every name it sizes, aggregates per letter or counts as a search engine
+    is one it wraps, so a deleted or renamed name fails here rather than in
+    a traced benchmark run."""
     path = REFERENCE_DIR.parent / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -379,6 +382,8 @@ def test_traced_names_resolve():
             if name not in scope:
                 missing.append(f"{layer}.{attr}")
     assert not missing
+    traced = {f"{layer}.{attr}" for layer, names in spans.TRACED.items() for attr in names}
+    assert set(spans.SIZES) | spans.PER_LETTER | set(spans.SEARCH_ENGINES) <= traced
 
 
 def test_table1_nodes_zero_replays(tmp_path, capsys):
@@ -452,12 +457,57 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     (["growth", "--pal", "11", "--window", "-1"],
      "argument --window: must be at least 2, got -1"),
     (["table1", "--p", "-3", "--beta", "3"], "argument --p: must be at least 1, got -3"),
+    # refused before the computation, not by a ZeroDivisionError after it
+    (["exponent", "--word", "mu_p", "--prefix", "100", "--expect", "1/0"],
+     "argument --expect: not a fraction or decimal: '1/0'"),
+    (["exponent", "--word", "p", "--method", "closed-form", "--expect", "x"],
+     "argument --expect: not a fraction or decimal: 'x'"),
+    # an infinite expectation or tolerance passes any estimate
+    (["growth", "--pal", "11", "--max-n", "30", "--expect", "inf", "--tol", "inf"],
+     "argument --expect: must be finite, got inf"),
+    (["growth", "--pal", "11", "--expect", "nan"], "argument --expect: must be finite, got nan"),
+    (["growth", "--pal", "11", "--expect", "1.1", "--tol", "inf"],
+     "argument --tol: must be finite, got inf"),
+    (["growth", "--pal", "11", "--expect", "1.1", "--tol", "-0.5"],
+     "argument --tol: must be at least 0, got -0.5"),
+    (["growth", "--pal", "11", "--expect", "x"], "argument --expect: invalid float value: 'x'"),
+    (["verify-all", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+    (["verify-all", "--jobs", "-2"], "argument --jobs: must be at least 1, got -2"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_all_starts_no_more_workers_than_jobs(monkeypatch, capsys):
+    """The process pool starts all its workers at once, so verify-all asks
+    for no more than there are jobs, however large --jobs is; --jobs 1 runs
+    without a pool."""
+    import concurrent.futures
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_battery_job",
+                        lambda item: (item[0], cli.Certificate(item[1], cli.PASS).render()))
+    for jobs in ("100000", "3", "1"):
+        assert main(["verify-all", "--jobs", jobs]) == 0
+    assert workers == [len(cli.BATTERY), 3]
+    assert capsys.readouterr().out.count("PASS") == 3 * len(cli.BATTERY)
 
 
 def test_malformed_jobs_variable_is_not_read(monkeypatch, capsys):

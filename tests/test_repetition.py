@@ -280,6 +280,29 @@ def test_critical_exponent_witness_tie_break(w):
     assert critical_exponent(w, with_witness=True) == (F(ln, p), w[st_:st_ + ln]), w
 
 
+LONG_THUE = _thue_word(1400)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 400), st.integers(200, 1000)).map(
+           lambda t: LONG_THUE[t[0]:t[0] + t[1]]),
+       st.none() | st.tuples(st.integers(0, 999), st.integers(1, 2)))
+# 63/32 twice: the longer period 64 starts first, then it starts second
+@example(LONG_THUE[321:521], None)
+@example(LONG_THUE[246:446], None)
+def test_critical_exponent_on_long_square_free_words(w, flip):
+    """Square-free words take the second pass of runs.critical_stretch, the
+    rescan of every stretch longer than its period: on Thue factors of
+    200-1000 letters, some with one letter changed, the exponent and the
+    witness are the oracle's, and on their first 120 letters the exponent
+    is the definitional one."""
+    if flip is not None:
+        w = _flip_ternary(w, *flip)
+    ln, p, st_ = max(maximal_stretches(w), key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
+    assert critical_exponent(w, with_witness=True) == (F(ln, p), w[st_:st_ + ln]), (w, flip)
+    assert critical_exponent(w[:120]) == brute_critical_exponent(w[:120]), (w, flip)
+
+
 def test_thue_word_is_square_free():
     assert all(ln < 2 * p for ln, p, _ in maximal_stretches(THUE))
 

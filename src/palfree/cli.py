@@ -505,7 +505,7 @@ def _checked(check, message: str, unchecked=("",)):
 
 
 _BOUND = "not an exponent bound: {text!r} ({exc})"
-_stream_name = _checked(structure_mod.named_stream, "{exc}")  # --word
+_stream_name = _checked(structure_mod.named_stream, "{exc}")  # --word, --compare
 _exp = _checked(ExponentBound.parse, _BOUND, ("", "none", "inf"))  # optimality, rauzy
 
 
@@ -552,7 +552,7 @@ COMMANDS = {
         _flag("--mode", choices=("weak", "strong"), default="weak"),
         _flag("--margin", type=_at_least(0)),
         _flag("--trim", action="store_true"),
-        _flag("--compare"),
+        _flag("--compare", type=_stream_name),
         _flag("--select-avoiding"),
         _flag("--nodes", type=int),
         _flag("--no-symmetry", action="store_true"),

@@ -7,6 +7,7 @@ here is outward rounded, so an Interval.certainly_leq verdict is a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,32 +98,15 @@ def as_interval(x) -> Interval:
 
 
 def sqrt_interval(x: Interval, width: Fraction = DEFAULT_WIDTH) -> Interval:
-    """Outward-rounded square root of a nonnegative interval."""
+    """Outward-rounded square root of a nonnegative interval, its endpoints
+    on the grid of step 1/S, S the least power of two with 1/S <= width."""
     if x.lo < 0:
         raise ValueError("sqrt of an interval reaching below zero")
-
-    den_cap = max(int(16 / width), 10 ** 6)
-
-    def lower_sqrt(v: Fraction) -> Fraction:
-        if v == 0:
-            return Fraction(0)
-        r = Fraction(float(v) ** 0.5) or Fraction(1)
-        for _ in range(80):
-            # clamp denominators each step or they square every iteration
-            nxt = ((r + v / r) / 2).limit_denominator(den_cap)
-            if abs(nxt - r) < width / 4:
-                r = nxt
-                break
-            r = nxt
-        # below zero r * r grows again: stop there, 0 is a lower bound too
-        while r > 0 and r * r > v:
-            r -= width / 2
-        return max(r, Fraction(0))
-
-    lo = lower_sqrt(x.lo)
-    hi = lower_sqrt(x.hi)
-    while hi * hi < x.hi:
-        hi += width / 2
+    scale = 1 << (math.ceil(1 / width) - 1).bit_length()
+    lo = Fraction(math.isqrt(math.floor(x.lo * scale * scale)), scale)
+    hi = Fraction(math.isqrt(math.floor(x.hi * scale * scale)), scale)
+    if hi * hi < x.hi:
+        hi += Fraction(1, scale)
     return Interval(lo, hi)
 
 

@@ -166,9 +166,10 @@ class Walk:
     state.push accepts letter by letter, trying letters in order.
 
     state is any push/pop object (ConstraintState, IncrementalFreeChecker,
-    ImageState); every push is paired with a pop, also when the walk stops.
+    ImageState); every push is paired with a pop by the time run returns.
     visit(word) runs on every accepted non-empty word; a true result stops
-    the walk.  nodes counts the pushes made below the roots."""
+    the walk.  nodes counts the pushes made below the roots.  The walk is
+    one loop over an explicit stack, so its depth has no recursion limit."""
 
     def __init__(self, state, letters: str, depth: int, visit,
                  node_budget: int | None = None):
@@ -178,59 +179,63 @@ class Walk:
         self.visit = visit
         self.node_budget = node_budget
         self.nodes = 0
-        self.stopped = False
 
     def run(self, roots: list[str]) -> list[str] | None:
         """Walk below each root in turn.  Once node_budget pushes are spent,
-        return the unexplored frontier in walk order (untried siblings at
-        each level, then the remaining roots); otherwise None."""
-        state = self.state
-        for i, root in enumerate(roots):
-            if len(root) > self.depth:
-                continue
-            pushed = 0
-            rest = None
-            try:
-                for ch in root:
-                    pushed += 1
-                    if not state.push(ch):
-                        break
-                else:
-                    if root and self.visit(root):
-                        self.stopped = True
-                    elif len(root) < self.depth:
-                        rest = self._rec(root)
-            finally:
-                for _ in range(pushed):
-                    state.pop()
-            if rest is not None:
-                return rest + roots[i + 1:]
-            if self.stopped:
-                break
-        return None
-
-    def _rec(self, prefix: str) -> list[str] | None:
+        return the unexplored frontier in walk order (untried letters at
+        each level, deepest first, then the remaining roots); otherwise None."""
         push, pop, visit = self.state.push, self.state.pop, self.visit
-        letters, budget = self.letters, self.node_budget
-        deeper = len(prefix) + 1 < self.depth
-        for i, ch in enumerate(letters):
-            if budget is not None and self.nodes >= budget:
-                return [prefix + c for c in letters[i:]]
-            self.nodes += 1
-            try:
+        letters, depth, budget = self.letters, self.depth, self.node_budget
+        width = len(letters)
+        nodes = self.nodes
+        for r, root in enumerate(roots):
+            if len(root) > depth:
+                continue
+            # the branch: words[k] is its word at level k, the root at 0, and
+            # tried[k] counts the letters tried below it; each word above the
+            # root holds one push, and a leaf is popped without being stacked
+            words, tried = [root], [width]
+            rest, stop = None, False
+            pushed = 0  # the root's pushes
+            for pushed, ch in enumerate(root, 1):
+                if not push(ch):
+                    break
+            else:
+                if root and visit(root):
+                    stop = True
+                elif len(root) < depth:
+                    tried[0] = 0
+            while True:
+                i = tried[-1]
+                if i == width:  # every letter tried below words[-1]
+                    if len(words) == 1:
+                        break
+                    del words[-1], tried[-1]
+                    pop()
+                    continue
+                if budget is not None and nodes >= budget:
+                    rest = [w + c for w, k in zip(reversed(words), reversed(tried))
+                            for c in letters[k:]] + roots[r + 1:]
+                    break
+                tried[-1] = i + 1
+                nodes += 1
+                ch = letters[i]
                 if push(ch):
-                    word = prefix + ch
+                    word = words[-1] + ch
                     if visit(word):
-                        self.stopped = True
-                        return None
-                    if deeper:
-                        rest = self._rec(word)
-                        if rest is not None:
-                            return rest + [prefix + c for c in letters[i + 1:]]
-                        if self.stopped:
-                            return None
-            finally:
+                        pop()
+                        stop = True
+                        break
+                    if len(word) < depth:
+                        words.append(word)
+                        tried.append(0)
+                        continue
                 pop()
+            self.nodes = nodes
+            for _ in range(pushed + len(words) - 1):
+                pop()
+            if stop or rest is not None:
+                return rest
         return None
 
 
@@ -266,10 +271,8 @@ def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
 
     walk = Walk(ConstraintState(c), letters, depth_cap, visit, node_budget)
     if frontier is None:
-        roots = [letters[0]] if symmetry else list(letters)
-    else:
-        roots = list(frontier)
-    rest = walk.run(roots)
+        frontier = [letters[0]] if symmetry else list(letters)
+    rest = walk.run(frontier)
     if witness is not None:
         return Reached(witness, walk.nodes)
     if rest is not None:
@@ -360,11 +363,7 @@ class ProofLog:
         return "\n".join(self.root.lines())
 
     def size(self) -> int:
-        def sz(node):
-            if isinstance(node, ProofLeaf):
-                return 1
-            return 1 + sum(sz(c) for c in node.children)
-        return sz(self.root)
+        return sum(1 for _ in self.root.lines())  # one line per node
 
 
 # both sides of a pre-image proof are cube-free

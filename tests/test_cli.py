@@ -92,6 +92,13 @@ def test_optimality_cli_matches_library(capsys):
     assert "max-depth-reached: 8" in out
 
 
+def test_optimality_depth_is_not_bounded_by_the_recursion_limit():
+    cert = run("optimality --alphabet 2 --pal 12 --cap 1500")
+    assert cert.evidence["result"] == "reached"
+    [witness] = cert.lists["witness"]
+    assert len(witness) == 1500
+
+
 def test_growth_cli():
     cert = run("growth --pal 11 --max-n 45 --expect 1.1127756842787 --tol 0.02")
     assert cert.outcome == "pass"
@@ -412,6 +419,9 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     (["palindromes", "--word", "xyz"], "argument --word: unknown stream 'xyz'"),
     (["exponent", "--word", "nu"], "argument --word: unknown stream 'nu'"),
     (["structure", "--word", "0124"], "argument --word: unknown stream '0124'"),
+    # refused before the survivor search, not after it
+    (["rauzy", "--exp", "13/5", "--pal", "18", "--ell", "4", "--compare", "bogus"],
+     "argument --compare: unknown stream 'bogus'"),
     (["table1", "--p", "9", "--beta", "x"],
      "argument --beta: not a fraction, inf or none: 'x'"),
     (["table1", "--p", "9", "--beta", "1/0"],

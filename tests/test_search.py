@@ -11,7 +11,7 @@ from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             TERNARY_FORBIDDEN, BudgetExceeded, ConstraintState,
                             ExhaustionCertificate, Inconclusive, Reached,
-                            SearchConstraints, SymmetryError, count_words,
+                            SearchConstraints, SymmetryError, Walk, count_words,
                             estimate_growth, extendable_middles,
                             prove_preimage_forbidden, replay_proof,
                             run_preimage_family, search)
@@ -211,6 +211,67 @@ def test_extendable_middles_budget_counts_the_refused_attempt():
     with pytest.raises(BudgetExceeded) as exc:
         extendable_middles(c, 20, 40, node_budget=5000, symmetry=True)
     assert exc.value.stats == {"nodes": 5001, "leaves": 2}
+
+
+class _Balance:
+    """An all-accepting push/pop state that counts its unpopped pushes."""
+
+    def __init__(self):
+        self.depth = 0
+
+    def push(self, ch):
+        self.depth += 1
+        return True
+
+    def pop(self):
+        self.depth -= 1
+
+
+def test_walk_depth_is_not_bounded_by_the_recursion_limit():
+    state = _Balance()
+    seen = []
+    walk = Walk(state, "01", 5000, lambda w: seen.append(w) or len(w) == 5000)
+    assert walk.run([""]) is None
+    assert seen == ["0" * k for k in range(1, 5001)]
+    assert walk.nodes == 5000 and state.depth == 0
+
+
+def _walk(c, depth, roots, budget=None, stop_at=None):
+    """Visits, nodes, frontier and final state of one Walk on a fresh state;
+    with stop_at the stop_at-th visit stops the walk."""
+    state = ConstraintState(c)
+    seen = []
+
+    def visit(word):
+        seen.append(word)
+        return len(seen) == stop_at
+
+    walk = Walk(state, ALPHABETS[c.alphabet_size], depth, visit, budget)
+    rest = walk.run(roots)
+    return seen, walk.nodes, rest, state
+
+
+@pytest.mark.parametrize("c, depth", [
+    (SearchConstraints(2, cubefree(), 9), 12),
+    (SearchConstraints(3, ExponentBound.parse("2"), 6, ("12",)), 9),
+])
+def test_walk_budget_frontier_and_stop_are_exact(c, depth):
+    """A budgeted walk resumed from its frontier makes the full walk's
+    visits and nodes; a stop at any visit leaves the state empty."""
+    full, total, rest, _ = _walk(c, depth, [""])
+    assert rest is None and total > 50
+    for b in range(total + 1):
+        seen, nodes, frontier, _ = _walk(c, depth, [""], budget=b)
+        assert nodes == b
+        frontier = frontier or []
+        more, resumed, rest, _ = _walk(c, depth, frontier)
+        assert rest is None
+        assert seen + more == full, b
+        assert b + resumed + len(frontier) == total, b
+    for k in range(1, len(full) + 1):
+        seen, _, rest, state = _walk(c, depth, [""], stop_at=k)
+        assert seen == full[:k] and rest is None
+        assert len(state.tree) == 0 and state.text.n == 0, k
 
 
 def test_estimate_growth_exact_geometric():

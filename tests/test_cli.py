@@ -419,9 +419,6 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     (["palindromes", "--word", "xyz"], "argument --word: unknown stream 'xyz'"),
     (["exponent", "--word", "nu"], "argument --word: unknown stream 'nu'"),
     (["structure", "--word", "0124"], "argument --word: unknown stream '0124'"),
-    # refused before the survivor search, not after it
-    (["rauzy", "--exp", "13/5", "--pal", "18", "--ell", "4", "--compare", "bogus"],
-     "argument --compare: unknown stream 'bogus'"),
     (["table1", "--p", "9", "--beta", "x"],
      "argument --beta: not a fraction, inf or none: 'x'"),
     (["table1", "--p", "9", "--beta", "1/0"],
@@ -483,6 +480,9 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     (["growth", "--pal", "11", "--expect", "x"], "argument --expect: invalid float value: 'x'"),
     (["verify-all", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
     (["verify-all", "--jobs", "-2"], "argument --jobs: must be at least 1, got -2"),
+    # refused before the survivor search, not after it
+    (["rauzy", "--exp", "13/5", "--pal", "18", "--ell", "4", "--compare", "bogus"],
+     "argument --compare: unknown stream 'bogus'"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -136,6 +136,8 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
 
 
 _BAND = 4  # IncrementalFreeChecker scans the periods in bands [P, _BAND * P)
+_SHORT = 8  # the periods below _SHORT are answered from the verdict table
+_SHORT_CAP = 1 << 16  # most verdicts one checker's table stores
 
 
 class IncrementalFreeChecker:
@@ -147,22 +149,33 @@ class IncrementalFreeChecker:
     with is_free is a tested invariant.
 
     The word is a str buffer whose first n letters are live, so pop is O(1)
-    and every test is a C-level str.find or slice comparison.  Periods are
-    scanned in bands [P, 4P): any violation at a period p of the band repeats
-    the last m = need[P] letters p letters earlier (need does not decrease in
-    p), so one find over the band's window yields every candidate, and each
-    is confirmed by one slice comparison.  That makes the test exact for every
-    bound.  In a word that was free before the push, two occurrences of that
-    suffix d <= P letters apart would already form a forbidden repetition of
+    and every test is a C-level str.find, slice comparison or dict lookup.
+    A violation at period p ending at the new letter reads only the last
+    min_violating_length(p) letters, and that length does not decrease in
+    p, so for every period below _SHORT = 8 the verdict depends only on the
+    last L = min_violating_length(_SHORT - 1) letters (the whole word while
+    it is shorter).  Those letters key a table of verdicts; a miss is
+    answered by one slice comparison per period and stored while the table
+    holds fewer than _SHORT_CAP entries, so the answer stays exact once the
+    table is full.  Short free words repeat their last L letters often, so
+    most pushes of a backtracking search end in one lookup.
+
+    The periods from 8 up are scanned in bands [P, 4P), P = 8, 32, 128, ...:
+    any violation at a period p of the band repeats the last m = need[P]
+    letters p letters earlier (need does not decrease in p), so one find
+    over the band's window yields every candidate, and each is confirmed by
+    one slice comparison.  That makes the test exact for every bound.  In a
+    word that was free before the push, two occurrences of that suffix
+    d <= P letters apart would already form a forbidden repetition of
     period d (need[d] <= m), so the candidates of a band lie more than P
     apart and number at most 3, and a push costs O(log n) Python steps.
     Wider bands mean fewer finds but more candidates; _BAND = 4 measured
     fastest.  Each band's constants are one row of _bands, added once when
-    _need first covers the band, so the table holds O(log n) rows and push
+    _need first covers the band, so _bands holds O(log n) rows and push
     only unpacks them.
     """
 
-    __slots__ = ("bound", "buf", "n", "_need", "_bands")
+    __slots__ = ("bound", "buf", "n", "_need", "_bands", "_span", "_short")
 
     def __init__(self, bound: ExponentBound):
         self.bound = bound
@@ -173,6 +186,11 @@ class IncrementalFreeChecker:
         # m = _need[P]: the band is reached once n >= m + P, and its window of
         # occurrences of the last m letters starts at n - (_BAND * P + m - 1)
         self._bands: list[tuple[int, int, int, int]] = []
+        self._extend_tables(_SHORT - 1)
+        # the last _span letters decide the periods below _SHORT; _short maps
+        # them to True when none of those periods makes a violation
+        self._span = bound.min_violating_length(_SHORT - 1)
+        self._short: dict[str, bool] = {}
 
     def _extend_tables(self, upto: int) -> None:
         """Extend _need to periods <= upto, and _bands to every band that
@@ -183,11 +201,24 @@ class IncrementalFreeChecker:
         # at least 1, since the threshold exceeds 1
         need.extend(length(q) - q for q in range(len(need), upto + 1))
         bands = self._bands
-        P = _BAND * bands[-1][2] if bands else 1
+        P = _BAND * bands[-1][2] if bands else _SHORT
         while P <= upto:
             m = need[P]
             bands.append((m + P, m, P, _BAND * P + m - 1))
             P *= _BAND
+
+    def _short_free(self, key: str) -> bool:
+        """True when no period below _SHORT makes a violation end at the
+        last letter of key, the word's last _span letters."""
+        n = len(key)
+        need = self._need
+        for p in range(1, _SHORT):
+            k = need[p]
+            if k + p > n:
+                break  # k + p grows with p
+            if key[n - k - p:n - p] == key[n - k:]:
+                return False
+        return True
 
     def push(self, c: str) -> bool:
         n = self.n
@@ -195,6 +226,16 @@ class IncrementalFreeChecker:
         if n == len(buf) or buf[n] != c:
             buf = self.buf = buf[:n] + c
         n = self.n = n + 1
+        s = n - self._span
+        key = buf[s if s > 0 else 0:n]
+        short = self._short
+        ok = short.get(key)
+        if ok is None:
+            ok = self._short_free(key)
+            if len(short) < _SHORT_CAP:
+                short[key] = ok
+        if not ok:
+            return False
         need = self._need
         if len(need) <= n:
             self._extend_tables(2 * n)

@@ -169,7 +169,8 @@ class Walk:
     ImageState); every push is paired with a pop by the time run returns.
     visit(word) runs on every accepted non-empty word; a true result stops
     the walk.  nodes counts the pushes made below the roots.  The walk is
-    one loop over an explicit stack, so its depth has no recursion limit."""
+    one loop over an explicit stack, so its depth has no recursion limit,
+    and the branch is one str, so a walk d letters deep holds O(d) letters."""
 
     def __init__(self, state, letters: str, depth: int, visit,
                  node_budget: int | None = None):
@@ -191,10 +192,11 @@ class Walk:
         for r, root in enumerate(roots):
             if len(root) > depth:
                 continue
-            # the branch: words[k] is its word at level k, the root at 0, and
-            # tried[k] counts the letters tried below it; each word above the
-            # root holds one push, and a leaf is popped without being stacked
-            words, tried = [root], [width]
+            # the branch: word[:base + k] is its word at level k, the root at
+            # 0, and tried[k] counts the letters tried below it; each letter
+            # past the root holds one push, and a leaf is popped without
+            # being stacked
+            word, tried, base = root, [width], len(root)
             rest, stop = None, False
             pushed = 0  # the root's pushes
             for pushed, ch in enumerate(root, 1):
@@ -203,36 +205,37 @@ class Walk:
             else:
                 if root and visit(root):
                     stop = True
-                elif len(root) < depth:
+                elif base < depth:
                     tried[0] = 0
             while True:
                 i = tried[-1]
-                if i == width:  # every letter tried below words[-1]
-                    if len(words) == 1:
+                if i == width:  # every letter tried below word
+                    if len(tried) == 1:
                         break
-                    del words[-1], tried[-1]
+                    del tried[-1]
+                    word = word[:-1]
                     pop()
                     continue
                 if budget is not None and nodes >= budget:
-                    rest = [w + c for w, k in zip(reversed(words), reversed(tried))
-                            for c in letters[k:]] + roots[r + 1:]
+                    rest = [word[:base + k] + c for k in range(len(tried) - 1, -1, -1)
+                            for c in letters[tried[k]:]] + roots[r + 1:]
                     break
                 tried[-1] = i + 1
                 nodes += 1
                 ch = letters[i]
                 if push(ch):
-                    word = words[-1] + ch
-                    if visit(word):
+                    child = word + ch
+                    if visit(child):
                         pop()
                         stop = True
                         break
-                    if len(word) < depth:
-                        words.append(word)
+                    if len(child) < depth:
+                        word = child
                         tried.append(0)
                         continue
                 pop()
             self.nodes = nodes
-            for _ in range(pushed + len(words) - 1):
+            for _ in range(pushed + len(tried) - 1):
                 pop()
             if stop or rest is not None:
                 return rest

@@ -1,4 +1,7 @@
 import re
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,42 @@ import pytest
 from palfree.cubic import ComplexInterval, as_interval
 from palfree.repetition import ExponentBound, Violation
 from palfree.structure import named_stream
+
+
+TEST_TIME_LIMIT_S = 300  # a test still running after this fails
+
+
+class TimeLimitExceeded(BaseException):
+    """A BaseException, so that hypothesis does not take it for a failing
+    example and replay the runaway code while shrinking."""
+
+
+@contextmanager
+def time_limit(name: str, seconds: float):
+    """Fail the running test, by name, once the block has run for seconds:
+    SIGALRM interrupts it wherever it is, so a runaway loop fails instead of
+    stalling the suite.  A limit set inside another one hands the outer
+    limit back what it had left."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{name} ran past its {seconds} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:  # an enclosing limit keeps what it had left
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with time_limit(item.nodeid, TEST_TIME_LIMIT_S):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (PerPeriodFreeChecker, _first_violation_scan,
                       brute_critical_exponent, maximal_stretches, violates)
-from palfree import runs
+from palfree import repetition, runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
                                 critical_exponent, exponent_of, is_free,
                                 smallest_period)
@@ -452,6 +453,44 @@ def test_incremental_checker_matches_per_period_oracle(spec, alphabet,
         assert fast.word() == oracle.word()
 
 
+@pytest.mark.parametrize("cap", [0, 3, repetition._SHORT_CAP])
+@pytest.mark.parametrize("spec", ["7/3+", "2", "5/2+", "3", "28/11+", "10/3+",
+                                  "7/4", "3/2+"])
+def test_incremental_checker_verdict_table_matches_oracle(spec, cap, monkeypatch):
+    """The verdict table for the periods below _SHORT, switched off (cap 0),
+    full after three words (cap 3) or at its shipped size: random push/pop
+    walks over one to four letters, some popping each refused letter and
+    some pushing on past it, agree with the per-period oracle on every push,
+    on words shorter than, as long as and longer than the table's key span
+    L, and the table never holds more than cap verdicts."""
+    monkeypatch.setattr(repetition, "_SHORT_CAP", cap)
+    b = ExponentBound.parse(spec)
+    span = b.min_violating_length(repetition._SHORT - 1)
+    rng = random.Random(f"{spec} {cap}")
+    lengths = set()
+    for alphabet in ("0", "01", "012", "0123"):
+        for undo_rejected in (True, False):
+            fast, oracle = IncrementalFreeChecker(b), PerPeriodFreeChecker(b)
+            for _ in range(1500):
+                n = len(oracle.w)
+                if n and (n > 3 * span or rng.random() < 0.35):
+                    fast.pop()
+                    oracle.pop()
+                    continue
+                c = rng.choice(alphabet)
+                ok = fast.push(c)
+                assert ok == oracle.push(c), (oracle.word(), spec, cap)
+                assert len(fast._short) <= cap
+                lengths.add(fast.n)
+                if undo_rejected and not ok:
+                    fast.pop()
+                    oracle.pop()
+            assert fast.word() == oracle.word()
+            if cap < 100 and len(alphabet) > 1:
+                assert len(fast._short) == cap
+    assert min(lengths) < span and span in lengths and max(lengths) > span
+
+
 def _refused(chk, x, start):
     """The indices i >= start of the letters that chk, holding x[:start],
     refuses when x[start:] is pushed letter by letter; chk is then popped
@@ -463,14 +502,16 @@ def _refused(chk, x, start):
 
 
 def _continuations(w, need):
-    """w continued at the periods 4^k - 1 and 4^k, the two ends of the
-    checker's bands [P, 4P), until the period alone must violate the bound."""
-    out = []
-    for k in range(1, 7):
-        for p in (4 ** k - 1, 4 ** k):
-            if p < len(w):
-                out.append(w + (w[-p:] * (need(p) // p + 1))[:need(p) - p])
-    return out
+    """w continued at a period, until the period alone must violate the
+    bound, for each period below len(w) among: 7 and 8, where the checker's
+    verdict table hands over to its bands; 8 * 4^k - 1 and 8 * 4^k, the
+    ends of the bands [P, 4P) from P = 8 up; and 4^k - 1 and 4^k, the band
+    ends of a layout whose bands start at 1."""
+    periods = {7, 8}
+    for k in range(7):
+        periods.update((8 * 4 ** k - 1, 8 * 4 ** k, 4 ** k - 1, 4 ** k))
+    return [w + (w[-p:] * (need(p) // p + 1))[:need(p) - p]
+            for p in sorted(periods) if 0 < p < len(w)]
 
 
 def _violation_ends(x, bound, start=0):

@@ -1,3 +1,5 @@
+import signal
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _first_violation_scan, palindrome_set_scan
+from conftest import (TEST_TIME_LIMIT_S, TimeLimitExceeded, _first_violation_scan,
+                      palindrome_set_scan, time_limit)
 from palfree.morphisms import load_morphism
 from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
@@ -234,6 +237,32 @@ def test_walk_depth_is_not_bounded_by_the_recursion_limit():
     assert walk.run([""]) is None
     assert seen == ["0" * k for k in range(1, 5001)]
     assert walk.nodes == 5000 and state.depth == 0
+
+
+def test_walk_branch_memory_is_linear_in_depth():
+    """An all-accepting walk 5,000 letters deep keeps its branch as one
+    str: it peaks under 1 MiB, where one str per level would hold about
+    d^2 / 2 = 12.5 million letters."""
+    state = _Balance()
+    walk = Walk(state, "01", 5000, lambda w: len(w) == 5000)
+    tracemalloc.start()
+    try:
+        assert walk.run([""]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert walk.nodes == 5000 and state.depth == 0
+
+
+def test_time_limit_stops_a_runaway_walk_by_name():
+    """The per-test time limit interrupts a walk that would not end within
+    it and names the test; the enclosing limit is armed again afterwards."""
+    walk = Walk(_Balance(), "01", 10 ** 9, lambda w: False)
+    with pytest.raises(TimeLimitExceeded, match="runaway ran past its 0.2 s"):
+        with time_limit("runaway", 0.2):
+            walk.run([""])
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= TEST_TIME_LIMIT_S
 
 
 def _walk(c, depth, roots, budget=None, stop_at=None):

@@ -1,6 +1,5 @@
 import re
 import signal
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -23,22 +22,17 @@ class TimeLimitExceeded(BaseException):
 def time_limit(name: str, seconds: float):
     """Fail the running test, by name, once the block has run for seconds:
     SIGALRM interrupts it wherever it is, so a runaway loop fails instead of
-    stalling the suite.  A limit set inside another one hands the outer
-    limit back what it had left."""
+    stalling the suite."""
     def expire(signum, frame):
         raise TimeLimitExceeded(f"{name} ran past its {seconds} s time limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
-    start = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-        if outer:  # an enclosing limit keeps what it had left
-            left = outer - (time.monotonic() - start)
-            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -550,7 +550,7 @@ def test_incremental_checker_on_long_words_fills_the_widest_bands(kind, spec):
 def test_incremental_checker_on_long_square_free_words(spec):
     """Below 2 is_free runs the checker itself, so the oracle is the
     per-period checker: every push agrees on 10^3 letters of the Thue word
-    and on its continuations at periods up to 256."""
+    and on its continuations at periods up to 512."""
     b = ExponentBound.parse(spec)
     fast, oracle = IncrementalFreeChecker(b), PerPeriodFreeChecker(b)
     w = _thue_word(1000)

@@ -1,4 +1,3 @@
-import signal
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (TEST_TIME_LIMIT_S, TimeLimitExceeded, _first_violation_scan,
+from conftest import (TimeLimitExceeded, _first_violation_scan,
                       palindrome_set_scan, time_limit)
 from palfree.morphisms import load_morphism
 from palfree.repetition import ExponentBound
@@ -257,12 +256,11 @@ def test_walk_branch_memory_is_linear_in_depth():
 
 def test_time_limit_stops_a_runaway_walk_by_name():
     """The per-test time limit interrupts a walk that would not end within
-    it and names the test; the enclosing limit is armed again afterwards."""
+    it and names the test."""
     walk = Walk(_Balance(), "01", 10 ** 9, lambda w: False)
     with pytest.raises(TimeLimitExceeded, match="runaway ran past its 0.2 s"):
         with time_limit("runaway", 0.2):
             walk.run([""])
-    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= TEST_TIME_LIMIT_S
 
 
 def _walk(c, depth, roots, budget=None, stop_at=None):

@@ -228,6 +228,9 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
 
 def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
                   expect: str | None, bound: str | None) -> Certificate:
+    if bound and (method != "empirical" or expect):
+        # a flag the method would never read must not reach the command line
+        raise ValueError("--bound is read only by --method empirical, without --expect")
     cert = Certificate("", FAIL)
     cert.put("word", word)
     cert.put("method", method)

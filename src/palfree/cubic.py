@@ -176,16 +176,14 @@ def eval_poly(coeffs, x: Interval) -> Interval:
     return out
 
 
-def isolate_root(coeffs=CUBIC, lo=Fraction(1), hi=Fraction(2),
-                 width: Fraction = DEFAULT_WIDTH) -> Interval:
-    """Bisection on an interval with a sign change; exact endpoints."""
-    flo = eval_poly(coeffs, Interval(lo)).hi
-    fhi = eval_poly(coeffs, Interval(hi)).lo
-    if not (flo < 0 < fhi):
-        raise ValueError("no sign change on the given bracket")
+def isolate_root(width: Fraction = DEFAULT_WIDTH) -> Interval:
+    """The cubic's Perron root, by bisection of [1, 2]; exact endpoints."""
+    lo, hi = Fraction(1), Fraction(2)
+    if not (eval_poly(CUBIC, Interval(lo)).hi < 0 < eval_poly(CUBIC, Interval(hi)).lo):
+        raise ValueError("the cubic has no sign change on [1, 2]")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = eval_poly(coeffs, Interval(mid))
+        fmid = eval_poly(CUBIC, Interval(mid))
         if fmid.hi < 0:
             lo = mid
         elif fmid.lo > 0:
@@ -232,12 +230,12 @@ def solve_sequence(seeds, width: Fraction = DEFAULT_WIDTH) -> CubicConstants:
     return CubicConstants(tuple(seeds), beta, lam_re, lam_im, A, B)
 
 
-def perron_root(width: Fraction = DEFAULT_WIDTH) -> Interval:
-    return isolate_root(width=width)
+def perron_root() -> Interval:
+    return isolate_root()
 
 
-def asymptotic_exponent_value(width: Fraction = Fraction(1, 10 ** 12)) -> Interval:
-    """1 + beta^2 / (beta^2 - 1)."""
-    beta = isolate_root(width=width / 100)
+def asymptotic_exponent_value() -> Interval:
+    """1 + beta^2 / (beta^2 - 1), for beta isolated to width 10^-14."""
+    beta = isolate_root(Fraction(1, 10 ** 14))
     b2 = beta * beta
     return 1 + b2 / (b2 - 1)

@@ -13,16 +13,14 @@ from .words import ALPHABETS, check_word
 class Morphism:
     """Letter-to-word map given as a tuple of images for letters 0..d-1."""
 
-    def __init__(self, images, target_alphabet_size: int | None = None):
+    def __init__(self, images):
         self.images = tuple(images)
         if not self.images:
             raise ValueError("morphism needs at least one image")
         if any(im == "" for im in self.images):
             raise ValueError("erasing morphisms are not supported")
         self.source_size = len(self.images)
-        if target_alphabet_size is None:
-            target_alphabet_size = max(int(c) for im in self.images for c in im) + 1
-        self.target_size = target_alphabet_size
+        self.target_size = max(int(c) for im in self.images for c in im) + 1
         for im in self.images:
             check_word(im, self.target_size)
         self._table = {ord("0") + i: im for i, im in enumerate(self.images)}

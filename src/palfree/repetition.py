@@ -86,8 +86,8 @@ def critical_exponent(w: str, with_witness: bool = False):
     """max over factors v of |v| / smallest period of v, as an exact Fraction.
 
     The witness is the stretch that runs.critical_stretch picks: highest
-    ratio, then leftmost start, then shortest period.  Any str is accepted
-    (the runs.py docstring says how its letters are read).
+    ratio, then leftmost start, then shortest period.  The letters must be
+    latin-1: one past U+00FF raises ValueError.
     """
     if not w:
         raise ValueError("critical exponent of the empty word")
@@ -104,7 +104,8 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
 
     Bounds >= 2 take the earliest-ending violation among runs.violations,
     the runs scan sized by the bound (the runs.py docstring describes its
-    two regimes and the letters it accepts).  Below 2 violating
+    two regimes); there the letters must be latin-1, and one past U+00FF
+    raises ValueError.  Below 2 violating
     stretches are far more numerous than runs, so lower bounds feed w to an
     IncrementalFreeChecker, which stops at the first violation: its first
     refused letter is the leftmost violating end, and there the smallest

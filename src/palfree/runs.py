@@ -3,34 +3,30 @@ sampling, sized by the bound, for the rest.
 
 A stretch is a triple (length, period, start): a factor of that length all
 of whose positions i satisfy w[i] == w[i+period], maximal on both sides.
-iter_runs(w, min_period, need) yields every stretch with length >=
-need(period) exactly once, for any need with need(p) - p >= 1 not
-decreasing in p; need defaults to 2*period, the squares.
+iter_runs(w, need) yields every stretch with length >= need(period)
+exactly once, for any need with need(p) - p >= 1 not decreasing in p.
+The word's letters must be latin-1, one byte each.
 
 Periods below _MASKED are scanned one at a time by a match mask of the
-whole word.  With b the word at one byte per letter and B its big-endian
-integer, x = ((B >> 8p) ^ B).to_bytes(n) has x[i] == 0 exactly when
-w[i - p] == w[i] (i >= p; x[:p] is b[:p] and is never searched).  A stretch
+whole word.  With B the big-endian integer of the word's latin-1 bytes,
+x = ((B >> 8p) ^ B).to_bytes(n) has x[i] == 0 exactly when
+w[i - p] == w[i] (i >= p; x[:p] is w[:p] and is never searched).  A stretch
 of period p and length L is a maximal run of L - p zero bytes, so one
 bytes.find of need(p) - p zero bytes gives the leftmost next stretch at
 least need(p) long, already maximal on the left, and one
 longest-common-extension query (galloping slice comparisons) extends it to
 the right.  Each period costs O(n) C-level byte work whatever the bound,
-plus one extension per stretch found.  A word is mapped to one byte per
-letter by latin-1, or by the letters' ranks when some letter is past
-U+00FF; a word of more than 256 distinct letters has no such map, and all
-its periods take the banded scan.
+plus one extension per stretch found.
 
 Periods from _MASKED up are scanned in bands [P, 2P), with blocks w[i:i+h]
-at every multiple i of h.  The block length comes from the bound: with
-lo = max(P, min_period), h = max(1, (need(lo) - lo + 1) // 2).  A run of
+at every multiple i of h, h = max(1, (need(P) - P + 1) // 2).  A run of
 period p in the band that starts at s and holds L >= need(p) letters holds
 both w[i:i+h] and its copy w[i+p:i+p+h] for every i in [s, s + L - p - h]:
 at least need(p) - p - h + 1 positions, which is at least h because
 need(p) - p does not decrease in p, so one of them is a multiple of h.  For
 need = 2p that is the classical h = P/2; for the bounds 5/2 and 28/11 the
 blocks are about 1.5 times longer, so far fewer candidates are extended.
-One str.find of each block over the window p in [lo, 2P) yields every
+One str.find of each block over the window p in [P, 2P) yields every
 candidate period; a candidate whose block pair lies inside the last stretch
 found at that period belongs to it and is skipped, and any other is
 extended to its stretch by two longest-common-extension queries (the
@@ -79,54 +75,33 @@ def _lce(s: str, a: int, b: int) -> int:
     return k
 
 
-def _square(p: int) -> int:
-    return 2 * p
-
-
-def _one_byte(w: str) -> bytes | None:
-    """w at one byte per letter, letters keeping their equalities, or None
-    when w has more than 256 distinct letters."""
-    try:
-        return w.encode("latin-1")
-    except UnicodeEncodeError:
-        letters = sorted(set(w))
-        if len(letters) > 256:
-            return None
-        return w.translate({ord(c): i for i, c in enumerate(letters)}).encode("latin-1")
-
-
-def iter_runs(w: str, min_period: int = 1, need=None):
+def iter_runs(w: str, need):
     """Yield (length, period, start) for every maximal stretch with
-    period >= min_period and length >= need(period), each once.  need
-    defaults to 2*period; need(p) - p must be at least 1 and must not
-    decrease in p, and may rise between yields.  Raises ValueError when
-    min_period < 1 or need(min_period) - min_period < 1, before scanning."""
-    if need is None:
-        need = _square
-    if min_period < 1 or need(min_period) <= min_period:
-        raise ValueError("iter_runs needs min_period >= 1 and need(p) > p")
+    length >= need(period), each once.  need(p) - p must be at least 1 and
+    must not decrease in p, and may rise between yields.  Raises ValueError
+    before scanning when need(1) <= 1 or a letter of w is past U+00FF."""
+    if need(1) <= 1:
+        raise ValueError("iter_runs needs need(p) > p")
+    B = int.from_bytes(w.encode("latin-1"), "big")
     n = len(w)
-    b = _one_byte(w) if min_period < _MASKED and need(min_period) <= n else None
-    first = min_period if b is None else max(min_period, _MASKED)  # the bands' least period
     rev = w[::-1]
     find = w.find
     bands = []
-    P = 1 << (first.bit_length() - 1)
-    while need(max(P, first)) <= n:
+    P = _MASKED
+    while need(P) <= n:
         bands.append(P)
         P += P
     for P in reversed(bands):
-        lo = max(P, first)
-        m = need(lo)
+        m = need(P)
         if m > n:
             continue
-        h = max(1, (m - lo + 1) // 2)
+        h = max(1, (m - P + 1) // 2)
         span = 2 * P - 1 + h
         last = [0] * P  # last[p - P]: end of the last stretch found at period p
-        for i in range(0, n - lo - h + 1, h):
+        for i in range(0, n - P - h + 1, h):
             block = w[i:i + h]
             end = i + span  # str.find clips it to n
-            j = find(block, i + lo, end)
+            j = find(block, i + P, end)
             while j >= 0:
                 p = j - i
                 if j + h > last[p - P]:
@@ -141,10 +116,7 @@ def iter_runs(w: str, min_period: int = 1, need=None):
                     if stop - st >= need(p):
                         yield stop - st, p, st
                 j = find(block, j + 1, end)
-    if b is None:
-        return
-    B = int.from_bytes(b, "big")
-    for p in range(min(_MASKED, n) - 1, min_period - 1, -1):
+    for p in range(min(_MASKED, n) - 1, 0, -1):
         m = need(p)
         if m > n:
             continue
@@ -162,11 +134,11 @@ def iter_runs(w: str, min_period: int = 1, need=None):
             i = x.find(bytes(m - p), stop + 1)
 
 
-def _best_stretch(w: str, min_period: int, bl: int, bp: int):
+def _best_stretch(w: str, bl: int, bp: int):
     """(length, period, start) maximizing length/period over the maximal
-    stretches with period >= min_period and length/period >= bl/bp, the
-    floor that the rising bar starts from; ties go to the leftmost start,
-    then the shortest period, and None means there is no such stretch."""
+    stretches with length/period >= bl/bp, the floor that the rising bar
+    starts from; ties go to the leftmost start, then the shortest period,
+    and None means there is no such stretch."""
     n = len(w)
     bs = n  # the floor starts past every stretch, so a stretch that ties it wins
 
@@ -174,19 +146,19 @@ def _best_stretch(w: str, min_period: int, bl: int, bp: int):
         # no shorter than a tie with the best so far
         return -(-p * bl // bp)
 
-    for ln, p, st in iter_runs(w, min_period, need):
+    for ln, p, st in iter_runs(w, need):
         a, b = ln * bp, bl * p
         if a > b or (a == b and (st, p) < (bs, bp)):
             bl, bp, bs = ln, p, st
     return (bl, bp, bs) if bs < n else None
 
 
-def max_stretch_ratio(w: str, min_period: int = 1):
+def max_stretch_ratio(w: str):
     """(length, period, start) maximizing length/period over all maximal
-    stretches with period >= min_period, ties going to the leftmost start,
-    then the shortest period; exact whenever that maximum is >= 2, and
-    (1, min_period, 0) when there is no run."""
-    return _best_stretch(w, min_period, 2, 1) or (1, min_period, 0)
+    stretches, ties going to the leftmost start, then the shortest period;
+    exact whenever that maximum is >= 2, and (1, 1, 0) when there is no
+    square."""
+    return _best_stretch(w, 2, 1) or (1, 1, 0)
 
 
 def critical_stretch(w: str):
@@ -201,11 +173,11 @@ def critical_stretch(w: str):
         return ln, p, st
     # ceil(p * (n + 2) / (n + 1)) = p + 1 at every period p <= n
     n = len(w)
-    return _best_stretch(w, 1, n + 2, n + 1) or (1, 1, 0)
+    return _best_stretch(w, n + 2, n + 1) or (1, 1, 0)
 
 
 def violations(w: str, need):
     """All maximal stretches (length, period, start) with
     length >= need(period), for need an ExponentBound's min_violating_length,
     found by blocks sized by that bound."""
-    return list(iter_runs(w, 1, need))
+    return list(iter_runs(w, need))

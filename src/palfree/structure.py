@@ -554,22 +554,19 @@ class StructuralExponent:
     families: dict[str, FamilyRatioReport]
 
 
-def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int = 500):
-    """1 + max |w|/|shortest return| over enumerated bispecial factors,
-    with the maximizing witness.  Requires an aperiodic uniformly recurrent
+def critical_exponent_via_bispecials(stream: Stream, max_bs_len: int) -> Fraction:
+    """1 + max |w|/|shortest return| over the bispecial factors of at most
+    max_bs_len letters.  Requires an aperiodic uniformly recurrent
     stream (periodic streams are rejected)."""
     if stream.periodic:
         raise ValueError("bispecial exponent formula needs an aperiodic word")
     if len(factors(stream.cover(16), 16)) <= 16:  # C(n) <= n: Morse-Hedlund
         raise ValueError("stream is eventually periodic")
-    profiles = bispecial_enumerate(stream, max_bs_len)
-    best = (Fraction(0), "")
-    for prof in profiles:
+    best = Fraction(0)
+    for prof in bispecial_enumerate(stream, max_bs_len):
         rw = return_words(prof.word, stream)
-        ratio = Fraction(len(prof.word), len(rw.shortest()))
-        if ratio > best[0]:
-            best = (ratio, prof.word)
-    return 1 + best[0], best[1], best[0], profiles
+        best = max(best, Fraction(len(prof.word), len(rw.shortest())))
+    return 1 + best
 
 
 def structural_exponent(kind: str) -> StructuralExponent:
@@ -590,7 +587,7 @@ def structural_exponent(kind: str) -> StructuralExponent:
     else:
         witness = rep.sup_index
     stream = named_stream(kind)
-    E = critical_exponent_via_bispecials(stream, max_bs_len=len(witness) + 50)[0]
+    E = critical_exponent_via_bispecials(stream, len(witness) + 50)
     exponent = 1 + sup
     if E != exponent:
         raise ArithmeticError(f"enumeration ({E}) disagrees with families ({exponent})")

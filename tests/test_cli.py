@@ -166,6 +166,9 @@ def test_preimage_cli_family_mismatch():
     "exponent --word 001011 --method closed-form",
     "exponent --word 001011 --method bispecial",
     "preimage-prove --morphism mu --family F20",
+    "exponent --word nu_p --prefix 1000 --bound 5/2+ --expect 7",
+    "exponent --word nu_p --method bispecial --bound 2",
+    "exponent --word p --method closed-form --bound 2",
 ])
 def test_refused_input_exits_2_with_one_line(command, capsys):
     """Input that parses but that the builder refuses exits 2, the code
@@ -375,7 +378,8 @@ def test_traced_names_resolve():
     a function in its palfree module, a method in its class's own dict; and
     every name it sizes, aggregates per letter or counts as a search engine
     is one it wraps, so a deleted or renamed name fails here rather than in
-    a traced benchmark run."""
+    a traced benchmark run.  A checker push is sized by len(checker.w),
+    read after the push, so the checker's word property must stay too."""
     path = REFERENCE_DIR.parent / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -391,6 +395,10 @@ def test_traced_names_resolve():
     assert not missing
     traced = {f"{layer}.{attr}" for layer, names in spans.TRACED.items() for attr in names}
     assert set(spans.SIZES) | spans.PER_LETTER | set(spans.SEARCH_ENGINES) <= traced
+    from palfree.repetition import ExponentBound, IncrementalFreeChecker
+    chk = IncrementalFreeChecker(ExponentBound.parse("2"))
+    assert all(chk.push(c) for c in "010") and chk.w == "010"
+    assert spans.SIZES["repetition.IncrementalFreeChecker.push"]((chk, "0"), True) == 3
 
 
 def test_table1_nodes_zero_replays(tmp_path, capsys):

@@ -90,17 +90,19 @@ bound_specs = st.sampled_from(["2", "2+", "7/3", "5/2+", "28/11+", "13/5", "3",
                                "10/3+"])
 
 
+def _square(p):
+    return 2 * p
+
+
 @settings(max_examples=400, deadline=None)
-@given(run_scan_words, st.integers(1, 8), bound_specs)
-def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
+@given(run_scan_words, bound_specs)
+def test_iter_runs_match_maximal_stretch_oracle(w, spec):
     """The banded scan emits exactly the maximal stretches of length at
     least twice their period, once each, and max_stretch_ratio picks the
     highest ratio, then the leftmost start, then the shortest period."""
     expected = sorted(r for r in maximal_stretches(w) if r[0] >= 2 * r[1])
-    got = list(runs.iter_runs(w))
+    got = list(runs.iter_runs(w, _square))
     assert sorted(got) == expected and len(set(got)) == len(got), w
-    assert sorted(runs.iter_runs(w, min_period)) == [
-        r for r in expected if r[1] >= min_period]
     b = ExponentBound.parse(spec)
     assert sorted(runs.violations(w, b.min_violating_length)) == [
         r for r in expected if violates(b, F(r[0], r[1]))]
@@ -109,28 +111,18 @@ def test_iter_runs_match_maximal_stretch_oracle(w, min_period, spec):
         assert runs.max_stretch_ratio(w) == best, w
     else:
         assert runs.max_stretch_ratio(w) == (1, 1, 0)
-    # the scan sized by the bound, and the rising need of max_stretch_ratio,
-    # above min_period
-    assert sorted(runs.iter_runs(w, min_period, b.min_violating_length)) == [
-        r for r in expected if r[1] >= min_period and violates(b, F(r[0], r[1]))]
-    tail = [r for r in expected if r[1] >= min_period]
-    best = (max(tail, key=lambda r: (F(r[0], r[1]), -r[2], -r[1])) if tail
-            else (1, min_period, 0))
-    assert runs.max_stretch_ratio(w, min_period) == best, (w, min_period)
 
 
 @settings(max_examples=150, deadline=None)
-@given(run_scan_words, st.integers(1, 8),
-       st.sampled_from(["6/5+", "3/2", "5/3+", "7/4", "9/5+"]))
-def test_iter_runs_below_two_match_maximal_stretch_oracle(w, min_period, spec):
+@given(run_scan_words, st.sampled_from(["6/5+", "3/2", "5/3+", "7/4", "9/5+"]))
+def test_iter_runs_below_two_match_maximal_stretch_oracle(w, spec):
     """The block length follows need(p) - p, so a bound below 2 gets short
     blocks, and the scan still yields every stretch that violates it, once
     each."""
     b = ExponentBound.parse(spec)
-    got = list(runs.iter_runs(w, min_period, b.min_violating_length))
+    got = list(runs.iter_runs(w, b.min_violating_length))
     assert sorted(got) == sorted(
-        r for r in maximal_stretches(w)
-        if r[1] >= min_period and violates(b, F(r[0], r[1]))), (w, min_period)
+        r for r in maximal_stretches(w) if violates(b, F(r[0], r[1]))), w
 
 
 @st.composite
@@ -150,62 +142,65 @@ def crossover_words(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(crossover_words(), st.integers(-1, 1), st.booleans(),
-       st.sampled_from([None, "6/5+", "3/2", "5/2+", "28/11+"]))
-def test_iter_runs_across_the_mask_crossover(w, offset, from_one, spec):
+@given(crossover_words(), st.sampled_from([None, "6/5+", "3/2", "5/2+", "28/11+"]))
+def test_iter_runs_across_the_mask_crossover(w, spec):
     """Periods below runs._MASKED are scanned by match masks and the rest by
-    banded blocks: around the crossover, with min_period on either side of
-    it, the scan still yields every stretch of the bound once, and
-    max_stretch_ratio's rising need still finds the best ratio."""
-    min_period = 1 if from_one else runs._MASKED + offset
-    oracle = [r for r in maximal_stretches(w) if r[1] >= min_period]
+    banded blocks: around the crossover the scan still yields every stretch
+    of the bound once, and max_stretch_ratio's rising need still finds the
+    best ratio."""
+    oracle = maximal_stretches(w)
+    squares = [r for r in oracle if r[0] >= 2 * r[1]]
     if spec is None:
-        need, expected = None, [r for r in oracle if r[0] >= 2 * r[1]]
+        need, expected = _square, squares
     else:
         b = ExponentBound.parse(spec)
         need = b.min_violating_length
         expected = [r for r in oracle if violates(b, F(r[0], r[1]))]
-    got = list(runs.iter_runs(w, min_period, need))
-    assert sorted(got) == sorted(expected) and len(set(got)) == len(got), (w, min_period)
-    squares = [r for r in oracle if r[0] >= 2 * r[1]]
+    got = list(runs.iter_runs(w, need))
+    assert sorted(got) == sorted(expected) and len(set(got)) == len(got), w
     best = (max(squares, key=lambda r: (F(r[0], r[1]), -r[2], -r[1])) if squares
-            else (1, min_period, 0))
-    assert runs.max_stretch_ratio(w, min_period) == best, (w, min_period)
+            else (1, 1, 0))
+    assert runs.max_stretch_ratio(w) == best, w
 
 
-# letters past U+00FF: mapped to ranks for the match masks; more than 256
-# distinct letters have no one-byte map and take the banded scan throughout
 _WIDE = "".join(map(chr, range(0x100, 0x100 + 257)))
 
 
 @pytest.mark.parametrize("w", [
     "αβ" * 3, "aα" * 3 + "b", "αβγ" * 2 + "α", "\xff\u0100" * 4,
     "0" + "\x00" * 5 + "1", _WIDE[:40] * 2 + _WIDE + "ab" * 3,
-    _WIDE[:70] * 2 + _WIDE[:5] + "\u4e00" * 3,
+    _WIDE[:70] * 2 + _WIDE[:5] + "\u4e00" * 3, "\xff0\xff" * 3 + "\x00",
 ])
 def test_runs_scan_letters_past_one_byte(w):
-    """Any str gets the oracle's answer, whatever its letters' code points."""
+    """Latin-1 letters, NUL and U+00FF included, get the oracle's answer;
+    a letter past U+00FF is refused before scanning by the runs scan and
+    by what calls it, is_free at bounds >= 2 and critical_exponent."""
+    if max(w) > "\xff":
+        with pytest.raises(ValueError):
+            next(runs.iter_runs(w, _square))
+        for spec in ("2", "5/2+", "3"):
+            with pytest.raises(ValueError):
+                is_free(w, ExponentBound.parse(spec))
+        with pytest.raises(ValueError):
+            critical_exponent(w)
+        return
     expected = sorted(r for r in maximal_stretches(w) if r[0] >= 2 * r[1])
-    assert sorted(runs.iter_runs(w)) == expected
+    assert sorted(runs.iter_runs(w, _square)) == expected
     for spec in ("2", "5/2+", "3", "6/5+"):
         b = ExponentBound.parse(spec)
         assert is_free(w, b) == _first_violation_scan(w, b), (w, spec)
     stretches = maximal_stretches(w) or [(1, 1, 0)]
     ln, p, st_ = max(stretches, key=lambda r: (F(r[0], r[1]), -r[2], -r[1]))
     assert critical_exponent(w, with_witness=True) == (F(ln, p), w[st_:st_ + ln])
-    if len(w) <= 14:
-        assert critical_exponent(w) == brute_critical_exponent(w)
+    assert critical_exponent(w) == brute_critical_exponent(w)
 
 
-@pytest.mark.parametrize("min_period, need", [
-    (1, lambda p: p), (3, lambda p: 2 * p if p > 3 else 3), (0, None), (-2, None),
-])
-def test_iter_runs_refuses_need_not_above_the_period(min_period, need):
-    """A min_period below 1, or need(min_period) <= min_period, is refused
-    before any stretch is yielded: need(p) = p would make a match mask
-    search for an empty run of matching letters."""
+@pytest.mark.parametrize("need", [lambda p: p, lambda p: 1], ids=["p", "one"])
+def test_iter_runs_refuses_need_not_above_the_period(need):
+    """need(1) <= 1 is refused before any stretch is yielded: need(p) = p
+    would make a match mask search for an empty run of matching letters."""
     with pytest.raises(ValueError, match="need"):
-        next(runs.iter_runs("0101010011", min_period, need))
+        next(runs.iter_runs("0101010011", need))
 
 
 @pytest.mark.parametrize("kind", ["nu_p", "mu_p"])
@@ -213,7 +208,7 @@ def test_violations_on_long_prefixes_match_filtered_square_scan(kind):
     """On 5*10^4 letters of the paper's words, the scan sized by the bound
     finds what the square scan filtered afterwards finds."""
     w = named_stream(kind).prefix(50000)
-    squares = list(runs.iter_runs(w))
+    squares = list(runs.iter_runs(w, _square))
     for spec in ("5/2", "5/2+", "28/11+"):
         need = ExponentBound.parse(spec).min_violating_length
         assert sorted(runs.violations(w, need)) == sorted(

@@ -7,7 +7,7 @@ import pytest
 from conftest import closed_form, return_word_oracle, special_factor_oracle
 from palfree.cubic import as_complex, solve_sequence
 from palfree.morphisms import Morphism, load_morphism
-from palfree.runs import max_stretch_ratio
+from palfree.runs import iter_runs
 from palfree.structure import (SHORT_BISPECIAL_RATIOS, TARGET_RATIO,
                                _bispecials_in, _complexity_in,
                                bispecial_enumerate, critical_exponent_via_bispecials,
@@ -415,14 +415,14 @@ def test_structural_exponents():
 
 def test_bispecial_exponent_rejects_periodic():
     with pytest.raises(ValueError):
-        critical_exponent_via_bispecials(named_stream("001011"))
+        critical_exponent_via_bispecials(named_stream("001011"), 500)
 
 
 def test_bispecial_exponent_rejects_eventually_periodic():
     # 0 -> 01, 1 -> 11 fixes 0 1^w: a morphic stream with two 16-letter factors
     stream = MorphicStream("01^w", Morphism(("01", "11")), "0")
     with pytest.raises(ValueError, match="eventually periodic"):
-        critical_exponent_via_bispecials(stream)
+        critical_exponent_via_bispecials(stream, 500)
 
 
 def test_return_words_reject_a_stream_that_is_not_uniformly_recurrent():
@@ -517,6 +517,7 @@ def test_asymptotic_exponent_shared():
 def test_empirical_asymptotic_trend():
     """The largest exponent among repetitions of period >= 50 in a long
     prefix is close to the asymptotic exponent."""
-    ln, p, _ = max_stretch_ratio(named_stream("p").prefix(200000), 50)
+    squares = iter_runs(named_stream("p").prefix(200000), lambda p: 2 * p)
+    ln, p, _ = max((r for r in squares if r[1] >= 50), key=lambda r: F(r[0], r[1]))
     ref = asymptotic_exponent("p")
     assert abs(F(ln, p) - ref.mid) < F(2, 100)

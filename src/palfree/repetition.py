@@ -102,10 +102,10 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
     """None when w satisfies the bound; otherwise the first violation in
     leftmost-end-then-shortest order.
 
-    Bounds >= 2 take the earliest-ending violation among runs.violations,
-    the runs scan sized by the bound (the runs.py docstring describes its
-    two regimes); there the letters must be latin-1, and one past U+00FF
-    raises ValueError.  Below 2 violating
+    The letters must be latin-1 at every bound: one past U+00FF raises
+    ValueError.  Bounds >= 2 take the earliest-ending violation among
+    runs.violations, the runs scan sized by the bound (the runs.py
+    docstring describes its two regimes).  Below 2 violating
     stretches are far more numerous than runs, so lower bounds feed w to an
     IncrementalFreeChecker, which stops at the first violation: its first
     refused letter is the leftmost violating end, and there the smallest
@@ -121,6 +121,7 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
         # violation ends at st + need(p) - 1
         end, length, p = min((st + need(p) - 1, need(p), p) for _ln, p, st in found)
     else:
+        w.encode("latin-1")  # refuses what the runs scan refuses
         chk = IncrementalFreeChecker(bound)
         chk.buf = w  # every push finds its letter in place, so nothing is copied
         for end, c in enumerate(w):

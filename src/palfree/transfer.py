@@ -178,7 +178,12 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
 
     The eertree's state at a visit depends only on the source word, and the
     walk is prefix-closed, so the palindromes of any window k <= window are
-    exactly those labelled <= k: one walk answers every smaller window."""
+    exactly those labelled <= k: one walk answers every smaller window, and
+    a deeper walk only adds palindromes labelled above window.  The walk
+    covers every image palindrome of length <= (window - 1) * q: a factor
+    of length L of a q-uniform image spans at most ceil((L - 1) / q) + 1
+    letter images, so it lies in h(u) for a free factor u of at most window
+    letters."""
     tree = Eertree()
     state = ImageState(IncrementalFreeChecker(inst.source_bound), tree,
                        inst.h.images)
@@ -202,29 +207,35 @@ def verify_palindrome_budget(inst: TransferInstance,
     included) compared against the claimed budget.
 
     The window w grows by 2 until the cut condition holds; the count is
-    stabilized when window w + 2 adds no palindrome.  Both tests read the
-    shortest-source labels of one walk: a walk to w + 2 answers the cut
-    test at w and, when that fails, at w + 2, so a deeper walk is made only
-    for window w + 4 or for the stabilization of a cut at w + 2."""
+    stabilized when the walk shows no palindrome labelled above w.  Both
+    tests read the shortest-source labels of one walk, and the labels choose
+    its depth d.  A walk to d covers every palindrome up to the horizon
+    (d - 1) * q, so a cut within it is genuine: no longer palindrome exists
+    at any depth, every palindrome is labelled and every label is final, and
+    each window w reads {pal : label <= w} with no further walk.  While no
+    cut shows, the walk deepens to the least d whose horizon reaches the
+    longest palindrome seen + 2 (the first place a cut can show), but never
+    past w + 2, whose walk answers window w + 2 as well when w has no cut."""
     inst.validate()
     q = inst.h.is_uniform()
     t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
     w = window if window is not None else ceil(t) + 2
-    depth = -1
+    depth, labels, complete = 0, {}, False
     while True:
-        if depth < w:
-            # one walk to w + 2, or to w at the cap, labels both windows
-            depth = w + 2 if w + 2 <= PAL_WINDOW_CAP else w
+        if not complete and depth < w:
+            longest = max(map(len, labels), default=0)
+            depth = min(w + 2 if w + 2 <= PAL_WINDOW_CAP else w,
+                        ceil((longest + 2) / q) + 1)
             labels = _palindromes_of_image_language(inst, depth)
+            complete = palindrome_cut_index(set(labels), (depth - 1) * q) is not None
+            continue
         pals = {pal for pal, d in labels.items() if d <= w}
-        # every factor of length <= (w-1)*q of the limit language shows up
         cut = palindrome_cut_index(pals, (w - 1) * q)
         if cut is not None or w >= PAL_WINDOW_CAP:
             break
         w += 2
-    if depth < w + 2 <= PAL_WINDOW_CAP:
-        labels = _palindromes_of_image_language(inst, w + 2)
-    # window w + 2 adds no palindrome (trivially true when only w was walked)
+    # a cut leaves no palindrome labelled above w; without one the walk
+    # stopped at w, the cap
     stabilized = all(d <= w for d in labels.values())
     count = len(pals) + 1  # the empty word
     return PalindromeBudgetResult(

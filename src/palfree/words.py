@@ -76,10 +76,14 @@ def palindrome_count(w: str) -> int:
 
 
 def palindrome_cut_index(pals: set[str], horizon: int) -> int | None:
-    """Smallest k >= 2, within the horizon up to which the enumeration is
-    complete, with no palindromes of lengths k-1 and k.  Any longer
-    palindrome contains a central palindromic factor of length k-1 or k
-    (peel two letters at a time), so none exist beyond a genuine cut."""
+    """Smallest k >= 2, within the horizon, with no palindromes of lengths
+    k-1 and k.  The horizon is the length up to which pals holds every
+    palindrome of the language: (d - 1) * q for the images of the free
+    source words of length <= d under a q-uniform morphism, because a
+    factor of length L of an image spans at most ceil((L - 1) / q) + 1
+    letter images.  Any longer palindrome contains a central palindromic
+    factor of length k-1 or k (peel two letters at a time), so none exist
+    beyond a genuine cut, and pals is then the language's whole set."""
     bylen = set(len(p) for p in pals)
     maxlen = max(bylen, default=0)
     for k in range(2, min(maxlen + 2, horizon) + 1):

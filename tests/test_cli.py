@@ -548,6 +548,25 @@ def test_transfer_walk_below_threshold_is_inconclusive(capsys):
     assert "outcome: pass\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("window", [64, 65])
+def test_palindrome_window_at_the_cap_reads_the_first_walk(window, monkeypatch, capsys):
+    """thm3c's cut shows at the walk to depth 2, whose labels answer every
+    window; a window at or past PAL_WINDOW_CAP walks no deeper."""
+    from palfree import transfer
+    depths = []
+    walk = transfer._palindromes_of_image_language
+
+    def counted(inst, depth):
+        depths.append(depth)
+        return walk(inst, depth)
+
+    monkeypatch.setattr(transfer, "_palindromes_of_image_language", counted)
+    assert main(["verify-morphism", "--instance", "thm3c", "--window", str(window)]) == 0
+    assert (f"palindrome-window: {window}\npalindrome-count: 13\nclaimed-budget: 13\n"
+            "cut-index: 7\nstabilized: yes\n") in capsys.readouterr().out
+    assert depths == [2]
+
+
 def test_growth_max_n_one():
     cert = run("growth --pal 11 --max-n 1")
     assert cert.command == "growth --pal 11 --max-n 1"

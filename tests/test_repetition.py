@@ -174,11 +174,12 @@ _WIDE = "".join(map(chr, range(0x100, 0x100 + 257)))
 def test_runs_scan_letters_past_one_byte(w):
     """Latin-1 letters, NUL and U+00FF included, get the oracle's answer;
     a letter past U+00FF is refused before scanning by the runs scan and
-    by what calls it, is_free at bounds >= 2 and critical_exponent."""
+    by what calls it, critical_exponent and is_free, which refuses it below
+    2 as well."""
     if max(w) > "\xff":
         with pytest.raises(ValueError):
             next(runs.iter_runs(w, _square))
-        for spec in ("2", "5/2+", "3"):
+        for spec in ("2", "5/2+", "3", "6/5+"):
             with pytest.raises(ValueError):
                 is_free(w, ExponentBound.parse(spec))
         with pytest.raises(ValueError):

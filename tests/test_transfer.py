@@ -149,6 +149,15 @@ def test_palindrome_budget_small_instance():
 IDENTITY = TransferInstance("identity", Morphism(("0", "1")), 2,
                             ExponentBound.parse("7/3+"),
                             ExponentBound.parse("8/3+"), 5)
+# its palindromes of length 16 = 4q first show at source length 5, past the
+# horizon (4 - 1) * q of a walk to 4: a horizon of d * q would cut at 16
+TIGHT = TransferInstance("tight", Morphism(("0001", "1110")), 2,
+                         ExponentBound.parse("5/2+"),
+                         ExponentBound.parse("4+"), 31)
+
+
+def _instance(name):
+    return {"identity": IDENTITY, "tight": TIGHT}.get(name) or load_instance(name)
 
 
 def test_palindrome_budget_inconclusive_for_identity():
@@ -212,28 +221,36 @@ def test_labelled_palindrome_walk_matches_oracle(name):
     ("thm3d", 7, 8),  # window PAL_WINDOW_CAP - 1: no room for the w + 2 walk
     ("identity", 3, 8),  # never cut: the window grows past the cap
     ("identity", 7, 8),
+    ("thm3h", 2, None),  # ternary source, cut at the first walk
+    ("thm3h", 4, None),
+    ("thm3d", 18, None),  # the default window: the first walk shows no cut
+    ("tight", 2, None),
 ])
 def test_palindrome_budget_matches_window_by_window_oracle(name, window, cap,
                                                            monkeypatch):
     if cap is not None:
         monkeypatch.setattr(T, "PAL_WINDOW_CAP", cap)
-    inst = IDENTITY if name == "identity" else load_instance(name)
+    inst = _instance(name)
     res = verify_palindrome_budget(inst, window)
     assert (res.window, res.count, res.cut_index, res.palindromes,
             res.stabilized) == _budget_oracle(inst, window)
 
 
 @pytest.mark.parametrize("name,window,cap,walks", [
-    # the walk to 5 answers windows 3 and 5; the cut at 5 needs 7 to stabilize
-    ("thm3d", 3, None, [5, 7]),
-    # never cut: each walk answers two windows until the cap stops the w + 2 walk
-    ("identity", 3, 12, [5, 9, 11, 13]),
+    # no cut within the horizon 3 of the walk to 2; the walk to 4 shows one,
+    # and its labels answer windows 3 and 5
+    ("thm3d", 3, None, [2, 4]),
+    # never cut: each walk goes as deep as the longest palindrome seen + 2
+    # needs, but not past w + 2, until the cap stops the w + 2 walk
+    ("identity", 3, 12, [3, 6, 9, 11, 13]),
+    # the cut shows at the first walk, which answers every window
+    ("thm3h", 4, None, [2]),
 ])
 def test_palindrome_budget_walks_once_per_two_windows(name, window, cap, walks,
                                                       monkeypatch):
     if cap is not None:
         monkeypatch.setattr(T, "PAL_WINDOW_CAP", cap)
-    inst = IDENTITY if name == "identity" else load_instance(name)
+    inst = _instance(name)
     depths = []
 
     def counted(inst, depth):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 every check passed, 1 some check failed, 2 inconclusive
 (a resource cap hit, or a walk too shallow to prove its claim) with nothing
-failing, or input refused: by the parser, or by a builder raising ValueError.
+failing, or input refused: by the parser, by a builder raising ValueError,
+or as a path that cannot be read (replay) or written (--out, --out-dir).
 """
 
 from __future__ import annotations
@@ -522,7 +523,7 @@ COMMANDS = {
     "verify-morphism": ("freeness transfer + palindrome budget", cert_verify_morphism, [
         _flag("--instance", required=True, choices=transfer_mod.shipped_instances()),
         _flag("--window", type=_at_least(0)),
-        _flag("--depth", type=int),
+        _flag("--depth", type=_at_least(0)),
     ]),
     "optimality": ("nonexistence search certificate", cert_optimality, [
         _flag("--alphabet", type=int, choices=range(1, 5), default=2),
@@ -530,7 +531,7 @@ COMMANDS = {
         _flag("--strict", choices=("true", "false")),
         _flag("--pal", type=_at_least(1)),
         _flag("--cap", type=int, default=400),
-        _flag("--nodes", type=int),
+        _flag("--nodes", type=_at_least(0)),
         _flag("--symmetry", action="store_true"),
         _flag("--forbid", action="append", default=[]),
     ]),
@@ -557,7 +558,7 @@ COMMANDS = {
         _flag("--trim", action="store_true"),
         _flag("--compare", type=_stream_name),
         _flag("--select-avoiding"),
-        _flag("--nodes", type=int),
+        _flag("--nodes", type=_at_least(0)),
         _flag("--no-symmetry", action="store_true"),
     ]),
     "exponent": ("critical exponents three ways", cert_exponent, [
@@ -591,7 +592,7 @@ COMMANDS = {
               type=_checked(Fraction, "not a fraction, inf or none: {text!r}", ("inf", "none")),
               help="column bound like 8/3, or inf"),
         _flag("--cap", type=int, default=400),
-        _flag("--nodes", type=int),
+        _flag("--nodes", type=_at_least(0)),
     ]),
 }
 
@@ -682,6 +683,13 @@ def _battery_job(item):
 
 def cmd_verify_all(args) -> int:
     jobs = BATTERY + (DEEP_BATTERY if args.deep else [])
+    if args.out_dir:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:  # a regular file in the way, or no permission
+            print(f"palfree verify-all: error: cannot write {args.out_dir}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         # the pool starts every worker at once, so start no more than there are jobs
@@ -696,7 +704,6 @@ def cmd_verify_all(args) -> int:
         mark = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE"}[cert.exit_code]
         print(f"{mark:12s} {name}")
         if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
             with open(os.path.join(args.out_dir, name + ".cert"), "w") as fh:
                 fh.write(results[name])
     return 1 if 1 in codes else 2 if 2 in codes else 0
@@ -715,6 +722,11 @@ def main(argv=None) -> int:
             new = run_command(shlex.split(old.command))
         else:
             cert = _dispatch(args)
+            if args.out:
+                try:
+                    cert.write(args.out)
+                except OSError as exc:  # a parent that is missing or a file, or a directory
+                    raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     except ValueError as exc:  # input a builder refuses, SymmetryError included
         print(f"palfree {args.cmd}: error: {exc}", file=sys.stderr)
         return 2
@@ -727,8 +739,6 @@ def main(argv=None) -> int:
         for d in report.differences:
             print("  " + d)
         return 1
-    if args.out:
-        cert.write(args.out)
     sys.stdout.write(cert.render())
     return cert.exit_code
 

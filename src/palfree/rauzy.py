@@ -87,74 +87,62 @@ def trim_to_essential(arcs) -> frozenset[str]:
 
 def components(g: RauzyGraph, mode: str) -> list[RauzyGraph]:
     """Arc sets of the strongly connected components (arcs whose endpoints
-    share an SCC), by Tarjan's pass; components without internal arcs are
-    dropped.  In weak mode every arc also counts reversed, so the SCCs of
-    that symmetric graph are the weakly connected components and every arc
-    falls in one.  Sorted by lexicographically least arc."""
+    share an SCC), by Kosaraju's two passes (Sharir 1981); components
+    without internal arcs are dropped.  In weak mode every arc also counts
+    reversed, so the SCCs of that symmetric graph are the weakly connected
+    components and every arc falls in one.  Sorted by lexicographically
+    least arc."""
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', not {mode!r}")
-    adj: dict[str, list[str]] = {}
-    verts: set[str] = set()
-    for w in g.arcs:
-        u, v = w[:-1], w[1:]
-        verts.add(u)
-        verts.add(v)
-        adj.setdefault(u, []).append(v)
-        if mode == "weak":
-            adj.setdefault(v, []).append(u)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    comp_of: dict[str, int] = {}
-    counter = 0
-    ncomp = 0
+    arcs = sorted(g.arcs)  # a fixed visiting order, and groups by least arc
+    pairs = [(w[:-1], w[1:]) for w in arcs]
+    if mode == "weak":
+        pairs += [(v, u) for u, v in pairs]
+    out: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for u, v in pairs:
+        out.setdefault(u, []).append(v)
+        into.setdefault(v, []).append(u)
 
-    for root in sorted(verts):
-        if root in index:
+    # first pass: depth-first over out-arcs, vertices in finishing order;
+    # a vertex without out-arcs is reached from the tail of its in-arc
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in out:
+        if root in seen:
             continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
+        seen.add(root)
+        work = [(root, iter(out[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(out.get(w, ()))))
                     break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp_of[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
+            else:
+                work.pop()
+                finished.append(v)
 
-    groups: dict[int, list[str]] = {}
-    for w in sorted(g.arcs):
-        u, v = w[:-1], w[1:]
-        if comp_of[u] == comp_of[v]:
-            groups.setdefault(comp_of[u], []).append(w)
-    comps = [RauzyGraph.from_arcs(arcs) for arcs in groups.values()]
-    return sorted(comps, key=RauzyGraph.least_arc)
+    # second pass: what the in-arcs reach from the latest finisher not yet
+    # placed is its SCC, named by that finisher
+    comp_of: dict[str, str] = {}
+    for root in reversed(finished):
+        if root in comp_of:
+            continue
+        comp_of[root] = root
+        stack = [root]
+        while stack:
+            for u in into.get(stack.pop(), ()):
+                if u not in comp_of:
+                    comp_of[u] = root
+                    stack.append(u)
+
+    groups: dict[str, list[str]] = {}
+    for w in arcs:
+        if comp_of[w[:-1]] == comp_of[w[1:]]:
+            groups.setdefault(comp_of[w[1:]], []).append(w)
+    return [RauzyGraph.from_arcs(group) for group in groups.values()]
 
 
 @dataclass
@@ -166,7 +154,9 @@ class OrbitStructure:
 
 def symmetry_orbits(comps: list[RauzyGraph]) -> OrbitStructure:
     """Match each component with its image under arc-wise reversal and
-    complement; comps must be closed under both symmetries."""
+    complement; comps must be closed under both symmetries.  The two maps
+    are commuting involutions, so the orbit of i is {i, rev i, comp i,
+    rev comp i}; orbits are sorted by least member."""
     arcsets = [c.arcs for c in comps]
 
     def locate(arcs, tag):
@@ -179,17 +169,5 @@ def symmetry_orbits(comps: list[RauzyGraph]) -> OrbitStructure:
            for i, c in enumerate(comps)}
     comp = {i: locate({complement(w) for w in c.arcs}, "complement")
             for i, c in enumerate(comps)}
-    seen: set[int] = set()
-    orbits = []
-    for i in range(len(comps)):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = {i}
-        while frontier:
-            nxt = {rev[j] for j in frontier} | {comp[j] for j in frontier}
-            frontier = nxt - orbit
-            orbit |= nxt
-        orbits.append(sorted(orbit))
-        seen |= orbit
-    return OrbitStructure(rev, comp, orbits)
+    orbits = {tuple(sorted({i, rev[i], comp[i], rev[comp[i]]})) for i in rev}
+    return OrbitStructure(rev, comp, [list(o) for o in sorted(orbits)])

@@ -203,6 +203,34 @@ def test_replay_of_unreadable_path_exits_2_with_one_line(name, tmp_path, capsys)
     assert err.count("\n") == 1 and err.startswith("palfree replay: error: "), err
 
 
+@pytest.mark.parametrize("name", ["file/x.cert", "missing/x.cert", "."],
+                         ids=["under-a-file", "missing-directory", "directory"])
+def test_unwritable_out_path_exits_2_with_one_line(name, tmp_path, capsys):
+    """An --out path that cannot be written is refused input (exit 2), not a
+    failed check (exit 1); the certificate is not printed either."""
+    (tmp_path / "file").write_text("")
+    assert main(["palindromes", "--word", "001011", "--prefix", "100", "--expect", "9",
+                 "--out", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1, err
+    assert err.startswith("palfree palindromes: error: cannot write "), err
+
+
+@pytest.mark.parametrize("name", ["file", "file/sub"], ids=["file", "under-a-file"])
+def test_verify_all_refuses_unwritable_out_dir_before_any_job(name, tmp_path, monkeypatch,
+                                                              capsys):
+    (tmp_path / "file").write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "BATTERY", [("palindromes-small", "palindromes --word 001011")])
+    monkeypatch.setattr(cli, "_battery_job", ran.append)
+    assert main(["verify-all", "--jobs", "1", "--out-dir", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert err.count("\n") == 1, err
+    assert err.startswith("palfree verify-all: error: cannot write "), err
+
+
 def test_cert_out_file(tmp_path):
     path = tmp_path / "out.cert"
     code = main(["palindromes", "--word", "001011", "--prefix", "20000",
@@ -373,13 +401,14 @@ def test_rauzy_bridge_checks_the_selected_component(monkeypatch):
     assert cert.outcome == "fail"
 
 
-def test_traced_names_resolve():
+def test_traced_names_resolve(monkeypatch):
     """Every name the benchmark's tracer wraps exists where it looks for it:
     a function in its palfree module, a method in its class's own dict; and
     every name it sizes, aggregates per letter or counts as a search engine
     is one it wraps, so a deleted or renamed name fails here rather than in
     a traced benchmark run.  A checker push is sized by len(checker.w),
-    read after the push, so the checker's word property must stay too."""
+    read after the push, so the checker's word property must stay too.
+    The names the harness's child and driver import must resolve as well."""
     path = REFERENCE_DIR.parent / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -399,6 +428,15 @@ def test_traced_names_resolve():
     chk = IncrementalFreeChecker(ExponentBound.parse("2"))
     assert all(chk.push(c) for c in "010") and chk.w == "010"
     assert spans.SIZES["repetition.IncrementalFreeChecker.push"]((chk, "0"), True) == 3
+    spec = importlib.util.spec_from_file_location("perfbench_child", path.parent / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert child.setup(str(REFERENCE_DIR.parent.parent)) is cli
+    import palfree
+    from palfree import certificates
+    assert callable(cli.run_command) and callable(certificates.parse_certificate)
+    assert isinstance(palfree.__version__, str)
 
 
 def test_table1_nodes_zero_replays(tmp_path, capsys):
@@ -491,6 +529,15 @@ def test_growth_rejects_max_n_below_one(value, message, capsys):
     # refused before the survivor search, not after it
     (["rauzy", "--exp", "13/5", "--pal", "18", "--ell", "4", "--compare", "bogus"],
      "argument --compare: unknown stream 'bogus'"),
+    # a negative node budget or depth would print a vacuous certificate
+    (["optimality", "--pal", "8", "--nodes", "-1"],
+     "argument --nodes: must be at least 0, got -1"),
+    (["rauzy", "--exp", "3", "--pal", "10", "--ell", "5", "--nodes", "-1"],
+     "argument --nodes: must be at least 0, got -1"),
+    (["table1", "--p", "14", "--beta", "8/3", "--nodes", "-1"],
+     "argument --nodes: must be at least 0, got -1"),
+    (["verify-morphism", "--instance", "thm3c", "--depth", "-2"],
+     "argument --depth: must be at least 0, got -2"),
 ])
 def test_word_and_beta_are_checked_by_the_parser(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from palfree.rauzy import (RauzyGraph, build_rauzy, components, survivor_set,
@@ -58,6 +61,46 @@ def test_strong_refines_weak():
         for comp in strong:
             ids = {weak[a] for a in comp.arcs}
             assert len(ids) == 1
+    # random Rauzy graphs against the definition, in both modes
+    rng = random.Random(2023)
+    for _ in range(300):
+        letters, ell = rng.choice(("01", "012")), rng.randint(3, 5)
+        density = rng.random()
+        arcs = {"".join(w) for w in product(letters, repeat=ell) if rng.random() < density}
+        if arcs:
+            g = build_rauzy(arcs)
+            for mode in ("weak", "strong"):
+                assert [set(c.arcs) for c in components(g, mode)] == \
+                    _classes_by_reachability(arcs, mode), (sorted(arcs), mode)
+
+
+def _classes_by_reachability(arcs, mode):
+    """The definition: two vertices share a class iff each reaches the
+    other (over arcs taken both ways in weak mode).  Returns the arcs whose
+    ends share a class, grouped by class and sorted by least arc."""
+    succ = {}
+    for w in arcs:
+        succ.setdefault(w[:-1], set()).add(w[1:])
+        if mode == "weak":
+            succ.setdefault(w[1:], set()).add(w[:-1])
+
+    def reach(u):
+        seen, todo = {u}, [u]
+        while todo:
+            for v in succ.get(todo.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return seen
+
+    reached = {v: reach(v) for w in arcs for v in (w[:-1], w[1:])}
+    groups = {}
+    for w in arcs:
+        u, v = w[:-1], w[1:]
+        if u in reached[v]:
+            cls = frozenset(x for x in reached[u] if u in reached[x])
+            groups.setdefault(cls, set()).add(w)
+    return sorted(groups.values(), key=min)
 
 
 def test_survivor_set_binary_squarefree_is_empty():
@@ -93,6 +136,39 @@ def test_symmetry_orbit_failure_reported():
     g = build_rauzy({"001", "010", "100"})  # not complement-closed alone
     with pytest.raises(ValueError):
         symmetry_orbits([g])
+
+
+def test_symmetry_orbits_match_closure():
+    """On random binary graphs closed under reversal and complement, whose
+    components are then closed under both too, the maps match the arc sets
+    and each orbit is the closure of its least member under both maps."""
+    rng = random.Random(2023)
+    seen_sizes = set()
+    for _ in range(200):
+        ell = rng.randint(4, 6)
+        density = rng.random() / 4
+        arcs = {v for w in product("01", repeat=ell) if rng.random() < density
+                for u in ("".join(w), complement("".join(w)))
+                for v in (u, reverse(u))}
+        for mode in ("weak", "strong"):
+            comps = components(build_rauzy(arcs), mode)
+            orb = symmetry_orbits(comps)
+            arcsets = [c.arcs for c in comps]
+            for i, c in enumerate(comps):
+                assert arcsets[orb.reversal_map[i]] == {reverse(w) for w in c.arcs}
+                assert arcsets[orb.complement_map[i]] == {complement(w) for w in c.arcs}
+            closures = []
+            for i in range(len(comps)):
+                orbit, frontier = {i}, {i}
+                while frontier:
+                    frontier = {m[j] for j in frontier
+                                for m in (orb.reversal_map, orb.complement_map)} - orbit
+                    orbit |= frontier
+                if min(orbit) == i:
+                    closures.append(sorted(orbit))
+            assert orb.orbits == closures
+            seen_sizes |= {len(o) for o in closures}
+    assert seen_sizes == {1, 2, 4}
 
 
 def test_survivor_pipeline_small_instance(mu_word):

@@ -170,7 +170,7 @@ def cert_rauzy(exp: str, strict: str | None, pal: int, ell: int, mode: str,
     except search_mod.BudgetExceeded as exc:
         cert.outcome = INCONCLUSIVE
         cert.put("result", "node budget exceeded")
-        cert.put("nodes-visited", exc.stats["nodes"])
+        cert.put("nodes-visited", exc.nodes)
         return cert
     cert.put("exponent-bound", bound)
     cert.put("palindrome-budget", pal)
@@ -399,9 +399,9 @@ def cert_splice(prefix: int, center: int) -> Certificate:
 
 # cell (p, beta) is green when some shipped transfer instance has a budget
 # <= p and a target bound <= beta
-GREEN_ANCHORS = {name: (budget, ExponentBound.parse(target).threshold)
-                 for name, (_sigma, _source, target, budget)
-                 in transfer_mod._SHIPPED.items()}
+GREEN_ANCHORS = {inst.name: (inst.claimed_palindromes, inst.target_bound.threshold)
+                 for inst in map(transfer_mod.load_instance,
+                                 transfer_mod.shipped_instances())}
 
 RED_CELLS = {
     (18, Fraction(28, 11)): "mu_p",
@@ -704,8 +704,13 @@ def cmd_verify_all(args) -> int:
         mark = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE"}[cert.exit_code]
         print(f"{mark:12s} {name}")
         if args.out_dir:
-            with open(os.path.join(args.out_dir, name + ".cert"), "w") as fh:
-                fh.write(results[name])
+            try:
+                with open(os.path.join(args.out_dir, name + ".cert"), "w") as fh:
+                    fh.write(results[name])
+            except OSError as exc:  # a directory in the way, or no permission
+                print(f"palfree verify-all: error: cannot write {exc.filename}: {exc.strerror}",
+                      file=sys.stderr)
+                codes.append(2)
     return 1 if 1 in codes else 2 if 2 in codes else 0
 
 

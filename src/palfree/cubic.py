@@ -131,9 +131,6 @@ class ComplexInterval:
     def __sub__(self, o):
         return self + (-as_complex(o))
 
-    def __rsub__(self, o):
-        return as_complex(o) + (-self)
-
     def __mul__(self, o):
         o = as_complex(o)
         return ComplexInterval(self.re * o.re - self.im * o.im,
@@ -155,9 +152,6 @@ class ComplexInterval:
         d = o.abs2()
         n = self * o.conjugate()
         return ComplexInterval(n.re / d, n.im / d)
-
-    def __rtruediv__(self, o):
-        return as_complex(o) / self
 
     def __repr__(self):
         return f"({self.re} + {self.im}i)"

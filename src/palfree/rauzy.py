@@ -35,9 +35,6 @@ class RauzyGraph:
     def of_word(cls, text: str, ell: int) -> "RauzyGraph":
         return cls.from_arcs(text[i:i + ell] for i in range(len(text) - ell + 1))
 
-    def least_arc(self) -> str:
-        return min(self.arcs)
-
     def avoids(self, factor: str) -> bool:
         return all(factor not in w for w in self.arcs)
 
@@ -57,7 +54,8 @@ def survivor_set(bound, pal_budget: int, ell: int, margin: int | None = None,
 
     margin defaults to ell, the narrowest context the component arguments
     use; larger margins weed out windows with no long-range extension.
-    Returns (set of words, stats dict).
+    Returns (set of words, {nodes, margin, symmetry}), nodes the pushes of
+    the walk.
     """
     if ell < 2:
         raise ValueError("survivor windows need ell >= 2")
@@ -65,10 +63,9 @@ def survivor_set(bound, pal_budget: int, ell: int, margin: int | None = None,
         margin = ell
     c = SearchConstraints(alphabet_size=2, exponent=bound,
                           palindrome_budget=pal_budget)
-    middles, stats = extendable_middles(c, ell, margin, node_budget=node_budget,
+    middles, nodes = extendable_middles(c, ell, margin, node_budget=node_budget,
                                         symmetry=symmetry)
-    stats = dict(stats, margin=margin, symmetry=symmetry)
-    return middles, stats
+    return middles, {"nodes": nodes, "margin": margin, "symmetry": symmetry}
 
 
 def trim_to_essential(arcs) -> frozenset[str]:

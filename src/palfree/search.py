@@ -1,6 +1,6 @@
 """Backtracking over constrained binary/ternary word spaces.
 
-One DFS engine, Walk, drives nonexistence certificates, per-length
+One DFS engine, walk, drives nonexistence certificates, per-length
 counting, witness search, the two-sided-extendable middle-window
 enumeration the Rauzy construction consumes, and the freeness-transfer and
 palindrome-budget checks of transfer.py.  Constraints are prefix-monotone
@@ -99,7 +99,7 @@ class ConstraintState:
     without an exponent bound, a bare letter buffer.  A letter the budget
     refuses is appended nowhere, and the flag refused makes the pop that
     follows it a no-op.  Every push, refused or not, is paired with one pop,
-    that of a refused push before the next push, as Walk does.  The callers
+    that of a refused push before the next push, as walk does.  The callers
     keep the words they walk."""
 
     __slots__ = ("tree", "forbidden", "text", "refused")
@@ -161,85 +161,73 @@ class Inconclusive:
     nodes_visited: int
 
 
-class Walk:
-    """Depth-first walk over the words of at most depth letters that
-    state.push accepts letter by letter, trying letters in order.
+def walk(state, letters: str, depth: int, visit, roots: list[str],
+         node_budget: int | None = None) -> tuple[int, list[str] | None]:
+    """Depth-first walk, below each root in turn, over the words of at most
+    depth letters that state.push accepts letter by letter, letters in order.
 
     state is any push/pop object (ConstraintState, IncrementalFreeChecker,
-    ImageState); every push is paired with a pop by the time run returns.
+    ImageState); every push is paired with a pop by the time walk returns.
     visit(word) runs on every accepted non-empty word; a true result stops
-    the walk.  nodes counts the pushes made below the roots.  The walk is
-    one loop over an explicit stack, so its depth has no recursion limit,
-    and the branch is one str, so a walk d letters deep holds O(d) letters."""
-
-    def __init__(self, state, letters: str, depth: int, visit,
-                 node_budget: int | None = None):
-        self.state = state
-        self.letters = letters
-        self.depth = depth
-        self.visit = visit
-        self.node_budget = node_budget
-        self.nodes = 0
-
-    def run(self, roots: list[str]) -> list[str] | None:
-        """Walk below each root in turn.  Once node_budget pushes are spent,
-        return the unexplored frontier in walk order (untried letters at
-        each level, deepest first, then the remaining roots); otherwise None."""
-        push, pop, visit = self.state.push, self.state.pop, self.visit
-        letters, depth, budget = self.letters, self.depth, self.node_budget
-        width = len(letters)
-        nodes = self.nodes
-        for r, root in enumerate(roots):
-            if len(root) > depth:
+    the walk.  Returns (nodes, frontier): nodes counts the pushes made below
+    the roots; once node_budget pushes are spent, frontier is the unexplored
+    frontier in walk order (untried letters at each level, deepest first,
+    then the remaining roots), otherwise None.  One loop over an explicit
+    stack, so no recursion limit bounds the depth, and the branch is one
+    str, so a walk d letters deep holds O(d) letters."""
+    push, pop, budget = state.push, state.pop, node_budget
+    width = len(letters)
+    nodes = 0
+    for r, root in enumerate(roots):
+        if len(root) > depth:
+            continue
+        # the branch: word[:base + k] is its word at level k, the root at
+        # 0, and tried[k] counts the letters tried below it; each letter
+        # past the root holds one push, and a leaf is popped without
+        # being stacked
+        word, tried, base = root, [width], len(root)
+        rest, stop = None, False
+        pushed = 0  # the root's pushes
+        for pushed, ch in enumerate(root, 1):
+            if not push(ch):
+                break
+        else:
+            if root and visit(root):
+                stop = True
+            elif base < depth:
+                tried[0] = 0
+        while True:
+            i = tried[-1]
+            if i == width:  # every letter tried below word
+                if len(tried) == 1:
+                    break
+                del tried[-1]
+                word = word[:-1]
+                pop()
                 continue
-            # the branch: word[:base + k] is its word at level k, the root at
-            # 0, and tried[k] counts the letters tried below it; each letter
-            # past the root holds one push, and a leaf is popped without
-            # being stacked
-            word, tried, base = root, [width], len(root)
-            rest, stop = None, False
-            pushed = 0  # the root's pushes
-            for pushed, ch in enumerate(root, 1):
-                if not push(ch):
-                    break
-            else:
-                if root and visit(root):
-                    stop = True
-                elif base < depth:
-                    tried[0] = 0
-            while True:
-                i = tried[-1]
-                if i == width:  # every letter tried below word
-                    if len(tried) == 1:
-                        break
-                    del tried[-1]
-                    word = word[:-1]
+            if budget is not None and nodes >= budget:
+                rest = [word[:base + k] + c for k in range(len(tried) - 1, -1, -1)
+                        for c in letters[tried[k]:]] + roots[r + 1:]
+                break
+            tried[-1] = i + 1
+            nodes += 1
+            ch = letters[i]
+            if push(ch):
+                child = word + ch
+                if visit(child):
                     pop()
-                    continue
-                if budget is not None and nodes >= budget:
-                    rest = [word[:base + k] + c for k in range(len(tried) - 1, -1, -1)
-                            for c in letters[tried[k]:]] + roots[r + 1:]
+                    stop = True
                     break
-                tried[-1] = i + 1
-                nodes += 1
-                ch = letters[i]
-                if push(ch):
-                    child = word + ch
-                    if visit(child):
-                        pop()
-                        stop = True
-                        break
-                    if len(child) < depth:
-                        word = child
-                        tried.append(0)
-                        continue
-                pop()
-            self.nodes = nodes
-            for _ in range(pushed + len(tried) - 1):
-                pop()
-            if stop or rest is not None:
-                return rest
-        return None
+                if len(child) < depth:
+                    word = child
+                    tried.append(0)
+                    continue
+            pop()
+        for _ in range(pushed + len(tried) - 1):
+            pop()
+        if stop or rest is not None:
+            return nodes, rest
+    return nodes, None
 
 
 def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
@@ -272,16 +260,15 @@ def search(c: SearchConstraints, depth_cap: int, node_budget: int | None = None,
             return True
         return False
 
-    walk = Walk(ConstraintState(c), letters, depth_cap, visit, node_budget)
     if frontier is None:
         frontier = [letters[0]] if symmetry else list(letters)
-    rest = walk.run(frontier)
+    nodes, rest = walk(ConstraintState(c), letters, depth_cap, visit, frontier,
+                       node_budget)
     if witness is not None:
-        return Reached(witness, walk.nodes)
+        return Reached(witness, nodes)
     if rest is not None:
-        return Inconclusive(rest, max_depth, walk.nodes)
-    return ExhaustionCertificate(max_depth, walk.nodes, sorted(longest),
-                                 longest_count)
+        return Inconclusive(rest, max_depth, nodes)
+    return ExhaustionCertificate(max_depth, nodes, sorted(longest), longest_count)
 
 
 def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int]:
@@ -300,8 +287,8 @@ def count_words(c: SearchConstraints, n: int, symmetry: bool = True) -> list[int
     def visit(word: str) -> None:
         counts[len(word)] += 1
 
-    Walk(ConstraintState(c), letters, n, visit).run(
-        [letters[0]] if symmetry else list(letters))
+    walk(ConstraintState(c), letters, n, visit,
+         [letters[0]] if symmetry else list(letters))
     counts[0] = 1
     if symmetry:
         # letter permutations map the enumerated words onto those starting
@@ -483,37 +470,34 @@ def extendable_middles(c: SearchConstraints, length: int, margin: int,
     with letter 0 are walked and the result is closed under letter
     permutations; it raises SymmetryError unless c.permutation_invariant().
 
-    Returns (middles, stats), or raises BudgetExceeded with the stats.
+    Returns (middles, nodes), nodes the pushes the walk made, or raises
+    BudgetExceeded.
     """
     if symmetry:
         _require_invariant(c)
     total = length + 2 * margin
     letters = ALPHABETS[c.alphabet_size]
     middles: set[str] = set()
-    stats = {"nodes": 0, "leaves": 0}
 
     def visit(word: str) -> None:
         if len(word) == total:
-            stats["leaves"] += 1
             middles.add(word[margin:margin + length])
 
-    walk = Walk(ConstraintState(c), letters, total, visit, node_budget)
     # the symmetric walk starts below letter 0, whose push is not a node
-    rest = walk.run([letters[0]] if symmetry else [""])
-    stats["nodes"] = walk.nodes
+    nodes, rest = walk(ConstraintState(c), letters, total, visit,
+                       [letters[0]] if symmetry else [""], node_budget)
     if rest is not None:
-        stats["nodes"] += 1  # the refused attempt counts
-        raise BudgetExceeded(stats)
+        raise BudgetExceeded(nodes + 1)  # the refused attempt counts
     if symmetry:
         middles = {w.translate(t) for t in _letter_permutations(c.alphabet_size)
                    for w in middles}
-    return middles, stats
+    return middles, nodes
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, stats):
+    def __init__(self, nodes: int):
         super().__init__("node budget exceeded")
-        self.stats = stats
+        self.nodes = nodes
 
 
 # ---------------------------------------------------------------------------

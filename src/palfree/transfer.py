@@ -2,8 +2,8 @@
 
 A synchronizing q-uniform morphism maps every a-free source word to a
 b-free image once that holds for all source words up to the threshold
-t = max(2b/(b-a), 2(q-1)(2b-1)/(q(b-1))); the check is a DFS over the
-a-free source tree with an incremental freeness test on the image.
+t = max(2b/(b-a), 2(q-1)(2b-1)/(q(b-1))); the check is one search.walk
+over the a-free source tree with an incremental freeness test on the image.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import ceil
 from .eertree import Eertree
 from .morphisms import Morphism, load_morphism
 from .repetition import ExponentBound, IncrementalFreeChecker, is_free
-from .search import Walk
+from .search import walk
 from .words import ALPHABETS, palindrome_cut_index
 
 PAL_WINDOW_CAP = 64
@@ -25,7 +25,6 @@ PAL_WINDOW_CAP = 64
 class TransferInstance:
     name: str
     h: Morphism
-    source_alphabet: int
     source_bound: ExponentBound
     target_bound: ExponentBound
     claimed_palindromes: int
@@ -41,17 +40,18 @@ class TransferInstance:
             raise ValueError(f"{self.name}: morphism not synchronizing: {sync}")
 
 
-# the eight shipped instances: (source alphabet, source bound, target bound,
-# claimed distinct-palindrome budget of the image language, eps included)
+# the eight shipped instances: (source bound, target bound, claimed
+# distinct-palindrome budget of the image language, eps included); the
+# source alphabet is that of the morphism
 _SHIPPED = {
-    "thm3a": (2, "7/3+", "10/3+", 11),
-    "thm3b": (2, "7/3+", "23/7+", 12),
-    "thm3c": (2, "7/3+", "3+", 13),
-    "thm3d": (2, "7/3+", "8/3+", 15),
-    "thm3e": (2, "7/3+", "13/5+", 18),
-    "thm3f": (2, "7/3+", "28/11+", 19),
-    "thm3g": (2, "7/3+", "5/2+", 21),
-    "thm3h": (3, "2", "7/3+", 25),
+    "thm3a": ("7/3+", "10/3+", 11),
+    "thm3b": ("7/3+", "23/7+", 12),
+    "thm3c": ("7/3+", "3+", 13),
+    "thm3d": ("7/3+", "8/3+", 15),
+    "thm3e": ("7/3+", "13/5+", 18),
+    "thm3f": ("7/3+", "28/11+", 19),
+    "thm3g": ("7/3+", "5/2+", 21),
+    "thm3h": ("2", "7/3+", 25),
 }
 
 
@@ -61,12 +61,11 @@ def shipped_instances() -> list[str]:
 
 def load_instance(name: str) -> TransferInstance:
     try:
-        sigma, src, tgt, budget = _SHIPPED[name]
+        src, tgt, budget = _SHIPPED[name]
     except KeyError:
         raise ValueError(f"unknown transfer instance {name!r}") from None
-    inst = TransferInstance(name, load_morphism(name), sigma,
-                            ExponentBound.parse(src), ExponentBound.parse(tgt),
-                            budget)
+    inst = TransferInstance(name, load_morphism(name), ExponentBound.parse(src),
+                            ExponentBound.parse(tgt), budget)
     inst.validate()
     return inst
 
@@ -142,7 +141,7 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
         violation_source = word
         return True
 
-    Walk(state, ALPHABETS[inst.source_alphabet], tdepth, visit).run([""])
+    walk(state, ALPHABETS[inst.h.source_size], tdepth, visit, [""])
     passed = violation_source is None
     result = TransferResult(q, t, tdepth, checked, passed)
     if not passed:
@@ -197,7 +196,7 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
                 if found.get(pal, d) >= d:
                     found[pal] = d
 
-    Walk(state, ALPHABETS[inst.source_alphabet], window, visit).run([""])
+    walk(state, ALPHABETS[inst.h.source_size], window, visit, [""])
     return found
 
 

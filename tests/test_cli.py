@@ -231,6 +231,29 @@ def test_verify_all_refuses_unwritable_out_dir_before_any_job(name, tmp_path, mo
     assert err.startswith("palfree verify-all: error: cannot write "), err
 
 
+@pytest.mark.parametrize("failed, code", [(False, 2), (True, 1)], ids=["pass", "fail"])
+def test_verify_all_reports_an_unwritable_certificate_file(failed, code, tmp_path,
+                                                           monkeypatch, capsys):
+    """A certificate file that cannot be written costs one stderr line and
+    exit 2 (1 when a check failed); every job line is still printed and
+    every other file still written."""
+    (tmp_path / "palindromes-small.cert").mkdir()
+    names = ["palindromes-small", "other", "last"]
+    monkeypatch.setattr(cli, "BATTERY", [(name, "palindromes --word 001011")
+                                         for name in names])
+    outcome = {"other": cli.FAIL if failed else cli.PASS}
+    monkeypatch.setattr(cli, "_battery_job", lambda item: (
+        item[0], cli.Certificate(item[1], outcome.get(item[0], cli.PASS)).render()))
+    assert main(["verify-all", "--jobs", "1", "--out-dir", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert [line.split()[1] for line in out.splitlines()] == names
+    assert err.count("\n") == 1, err
+    assert err.startswith("palfree verify-all: error: cannot write "), err
+    assert "palindromes-small.cert" in err
+    for name in names[1:]:
+        assert (tmp_path / (name + ".cert")).read_text().startswith("palfree certificate 1")
+
+
 def test_cert_out_file(tmp_path):
     path = tmp_path / "out.cert"
     code = main(["palindromes", "--word", "001011", "--prefix", "20000",

@@ -13,10 +13,10 @@ from palfree.repetition import ExponentBound
 from palfree.search import (IMAGE_FORBIDDEN, REFUTATION_ORDER,
                             TERNARY_FORBIDDEN, BudgetExceeded, ConstraintState,
                             ExhaustionCertificate, Inconclusive, Reached,
-                            SearchConstraints, SymmetryError, Walk, count_words,
+                            SearchConstraints, SymmetryError, count_words,
                             estimate_growth, extendable_middles,
                             prove_preimage_forbidden, replay_proof,
-                            run_preimage_family, search)
+                            run_preimage_family, search, walk)
 from palfree.words import ALPHABETS, factors, palindrome_count
 
 F = Fraction
@@ -120,7 +120,7 @@ def test_constraint_state_matches_definitions(use_bound, use_budget, use_forbidd
                                               size, spec, budget, forbidden, steps):
     """Every verdict of a random push/pop sequence equals the definitions on
     the live word; a refused letter is popped before the next push, as in
-    Walk."""
+    walk."""
     letters = ALPHABETS[size]
     bound = ExponentBound.parse(spec) if use_bound else None
     budget = budget if use_budget else None
@@ -212,7 +212,7 @@ def test_extendable_middles_budget_counts_the_refused_attempt():
     c = SearchConstraints(2, ExponentBound.parse("13/5"), 18)
     with pytest.raises(BudgetExceeded) as exc:
         extendable_middles(c, 20, 40, node_budget=5000, symmetry=True)
-    assert exc.value.stats == {"nodes": 5001, "leaves": 2}
+    assert exc.value.nodes == 5001
 
 
 class _Balance:
@@ -232,10 +232,11 @@ class _Balance:
 def test_walk_depth_is_not_bounded_by_the_recursion_limit():
     state = _Balance()
     seen = []
-    walk = Walk(state, "01", 5000, lambda w: seen.append(w) or len(w) == 5000)
-    assert walk.run([""]) is None
+    nodes, rest = walk(state, "01", 5000,
+                       lambda w: seen.append(w) or len(w) == 5000, [""])
+    assert rest is None
     assert seen == ["0" * k for k in range(1, 5001)]
-    assert walk.nodes == 5000 and state.depth == 0
+    assert nodes == 5000 and state.depth == 0
 
 
 def test_walk_branch_memory_is_linear_in_depth():
@@ -243,28 +244,27 @@ def test_walk_branch_memory_is_linear_in_depth():
     str: it peaks under 1 MiB, where one str per level would hold about
     d^2 / 2 = 12.5 million letters."""
     state = _Balance()
-    walk = Walk(state, "01", 5000, lambda w: len(w) == 5000)
     tracemalloc.start()
     try:
-        assert walk.run([""]) is None
+        nodes, rest = walk(state, "01", 5000, lambda w: len(w) == 5000, [""])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rest is None
     assert peak < 1 << 20, peak
-    assert walk.nodes == 5000 and state.depth == 0
+    assert nodes == 5000 and state.depth == 0
 
 
 def test_time_limit_stops_a_runaway_walk_by_name():
     """The per-test time limit interrupts a walk that would not end within
     it and names the test."""
-    walk = Walk(_Balance(), "01", 10 ** 9, lambda w: False)
     with pytest.raises(TimeLimitExceeded, match="runaway ran past its 0.2 s"):
         with time_limit("runaway", 0.2):
-            walk.run([""])
+            walk(_Balance(), "01", 10 ** 9, lambda w: False, [""])
 
 
 def _walk(c, depth, roots, budget=None, stop_at=None):
-    """Visits, nodes, frontier and final state of one Walk on a fresh state;
+    """Visits, nodes, frontier and final state of one walk on a fresh state;
     with stop_at the stop_at-th visit stops the walk."""
     state = ConstraintState(c)
     seen = []
@@ -273,9 +273,8 @@ def _walk(c, depth, roots, budget=None, stop_at=None):
         seen.append(word)
         return len(seen) == stop_at
 
-    walk = Walk(state, ALPHABETS[c.alphabet_size], depth, visit, budget)
-    rest = walk.run(roots)
-    return seen, walk.nodes, rest, state
+    nodes, rest = walk(state, ALPHABETS[c.alphabet_size], depth, visit, roots, budget)
+    return seen, nodes, rest, state
 
 
 @pytest.mark.parametrize("c, depth", [

@@ -9,7 +9,7 @@ from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
 from palfree.morphisms import Morphism
 from palfree.repetition import ExponentBound, IncrementalFreeChecker, is_free
-from palfree.search import Walk
+from palfree.search import walk
 from palfree.transfer import (ImageState, TransferInstance,
                               _palindromes_of_image_language, load_instance,
                               mrs_threshold, palindrome_cut_index,
@@ -24,8 +24,8 @@ def enumerate_free_words(alphabet_size: int, bound: ExponentBound, max_len: int)
     """Every bound-free word of length <= max_len over 0..d-1, the empty
     word first, within each length in lexicographic order."""
     out = [""]
-    Walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
-         out.append).run([""])
+    walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
+         out.append, [""])
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -100,18 +100,18 @@ def test_instance_validation():
     inst = load_instance("thm3d")
     inst.validate()
     with pytest.raises(ValueError):
-        TransferInstance("bad-order", inst.h, 2, ExponentBound.parse("8/3+"),
+        TransferInstance("bad-order", inst.h, ExponentBound.parse("8/3+"),
                          ExponentBound.parse("7/3+"), 15).validate()
     with pytest.raises(ValueError):
-        TransferInstance("equal-bounds", inst.h, 2, ExponentBound.parse("8/3+"),
+        TransferInstance("equal-bounds", inst.h, ExponentBound.parse("8/3+"),
                          ExponentBound.parse("8/3+"), 15).validate()
     nonuniform = Morphism(("01", "0"))
     with pytest.raises(ValueError):
-        TransferInstance("nonuniform", nonuniform, 2, ExponentBound.parse("7/3+"),
+        TransferInstance("nonuniform", nonuniform, ExponentBound.parse("7/3+"),
                          ExponentBound.parse("8/3+"), 9).validate()
     nonsync = Morphism(("01", "01"))
     with pytest.raises(ValueError):
-        TransferInstance("nonsync", nonsync, 2, ExponentBound.parse("7/3+"),
+        TransferInstance("nonsync", nonsync, ExponentBound.parse("7/3+"),
                          ExponentBound.parse("8/3+"), 9).validate()
 
 
@@ -124,10 +124,20 @@ def test_verify_transfer_small_instance():
     assert res.words_checked > 1000
 
 
+def test_verify_transfer_walks_the_morphism_source_alphabet():
+    """thm3h maps ternary square-free words, so its walk covers every one
+    of them up to the threshold, not only the binary ones."""
+    inst = load_instance("thm3h")
+    res = verify_transfer(inst)
+    assert res.passed and res.depth == 14
+    free = enumerate_free_words(3, inst.source_bound, 14)
+    assert res.words_checked == len(free) - 1 == 1767  # the empty word is not visited
+
+
 def test_verify_transfer_detects_violation():
     # target bound tighter than the images can satisfy
     inst = load_instance("thm3d")
-    broken = TransferInstance("broken", inst.h, 2, ExponentBound.parse("7/3+"),
+    broken = TransferInstance("broken", inst.h, ExponentBound.parse("7/3+"),
                               ExponentBound.parse("5/2+"), 15)
     res = verify_transfer(broken, depth=6)
     assert not res.passed
@@ -146,12 +156,12 @@ def test_palindrome_budget_small_instance():
     assert res.palindromes == sorted(res.palindromes, key=lambda p: (len(p), p))
 
 
-IDENTITY = TransferInstance("identity", Morphism(("0", "1")), 2,
+IDENTITY = TransferInstance("identity", Morphism(("0", "1")),
                             ExponentBound.parse("7/3+"),
                             ExponentBound.parse("8/3+"), 5)
 # its palindromes of length 16 = 4q first show at source length 5, past the
 # horizon (4 - 1) * q of a walk to 4: a horizon of d * q would cut at 16
-TIGHT = TransferInstance("tight", Morphism(("0001", "1110")), 2,
+TIGHT = TransferInstance("tight", Morphism(("0001", "1110")),
                          ExponentBound.parse("5/2+"),
                          ExponentBound.parse("4+"), 31)
 
@@ -175,7 +185,7 @@ def _image_palindromes(inst, window):
     """Definitional oracle: entry k is the set of non-empty palindromic
     factors of h(u) over the source-free words u with |u| <= k."""
     by_length = [set() for _ in range(window + 1)]
-    for u in enumerate_free_words(inst.source_alphabet, inst.source_bound, window):
+    for u in enumerate_free_words(inst.h.source_size, inst.source_bound, window):
         by_length[len(u)] |= palindrome_set_scan(inst.h.apply(u))
     out, found = [], set()
     for pals in by_length:

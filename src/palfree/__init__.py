@@ -6,14 +6,13 @@ from .morphisms import Morphism, load_morphism, shipped_morphisms
 from .repetition import (ExponentBound, IncrementalFreeChecker, Violation,
                          critical_exponent, exponent_of, is_free)
 from .words import (complement, factors, palindrome_count, palindrome_set,
-                    parikh, reverse)
+                    reverse)
 
 __all__ = [
     "CubicConstants", "ExponentBound", "IncrementalFreeChecker",
     "Interval", "Morphism", "Violation", "complement", "critical_exponent",
     "exponent_of", "factors", "is_free", "load_morphism", "palindrome_count",
-    "palindrome_set", "parikh", "reverse", "shipped_morphisms",
-    "solve_sequence",
+    "palindrome_set", "reverse", "shipped_morphisms", "solve_sequence",
 ]
 
 __version__ = "0.1.0"

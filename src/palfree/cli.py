@@ -45,11 +45,11 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     cert = Certificate("", FAIL)
     inst = transfer_mod.load_instance(instance)
     tr = transfer_mod.verify_transfer(inst, depth)
-    cert.put("q", tr.q)
+    cert.put("q", inst.q)
     cert.put("synchronizing", "yes")
     cert.put("source-bound", inst.source_bound)
     cert.put("target-bound", inst.target_bound)
-    cert.put("threshold", tr.threshold)
+    cert.put("threshold", inst.threshold)
     cert.put("check-depth", tr.depth)
     cert.put("source-words-checked", tr.words_checked)
     cert.put("image-freeness", "pass" if tr.passed else "fail")
@@ -66,7 +66,7 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     cert.lists["palindromes"] = ["(empty word)"] + pal.palindromes
     if pal.passed and pal.stabilized:
         # a walk that stops below ceil(threshold) proves no transfer
-        cert.outcome = PASS if tr.depth >= ceil(tr.threshold) else INCONCLUSIVE
+        cert.outcome = PASS if tr.depth >= ceil(inst.threshold) else INCONCLUSIVE
     elif not pal.conclusive:
         cert.outcome = INCONCLUSIVE
     return cert
@@ -257,7 +257,11 @@ def cert_exponent(word: str, method: str, prefix: int, max_bs: int,
             else:
                 cert.outcome = PASS
     elif method == "bispecial":
-        rep = structure_mod.structural_exponent(word)
+        try:
+            rep = structure_mod.structural_exponent(word)
+        except ArithmeticError as exc:  # a family bound or the cross-check fails
+            cert.put("error", str(exc))
+            return cert
         cert.put("critical-exponent", rep.exponent)
         cert.put("maximizing-family",
                  min(f for f, r in rep.families.items() if r.sup == rep.witness_ratio))

@@ -86,9 +86,6 @@ class Interval:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def __float__(self):
-        return float(self.mid)
-
     def __repr__(self):
         return f"[{float(self.lo):.15g}, {float(self.hi):.15g}]"
 

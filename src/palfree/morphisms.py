@@ -43,8 +43,6 @@ class Morphism:
             raise ValueError(f"word {w!r} leaves the source alphabet")
         return w.translate(self._table)
 
-    __call__ = apply
-
     def is_prolongable_on(self, seed: str) -> bool:
         """True when f(seed) is seed followed by at least one letter."""
         im = self.apply(seed)

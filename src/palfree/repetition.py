@@ -263,8 +263,7 @@ class IncrementalFreeChecker:
     def pop(self) -> None:
         self.n -= 1
 
-    def word(self) -> str:
+    @property
+    def w(self) -> str:
+        """The current word, for callers that trace pushes."""
         return self.buf[:self.n]
-
-    # the current word as an attribute, for callers that trace pushes
-    w = property(word)

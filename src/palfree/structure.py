@@ -18,7 +18,7 @@ word has length s_(2n+r) = |outer(phi^(2n+r)(base))|.  The closed forms,
 the return lengths, the length sequences' seeds, the ratio indices and the
 ratios' numerator constants all derive from the table.
 
-Every structure claim reads one exact prefix: Stream.cover(n) holds every
+Every structure claim reads one exact prefix, cover(n), which holds every
 factor of length <= n (Allouche and Shallit, Automatic Sequences, ch. 7).
 For x = phi^w(seed), all of whose letters grow, and its image outer(x):
 * the 2-factors of phi(w) are a function of those of w (|w| >= 2), so the
@@ -41,27 +41,15 @@ from .morphisms import Morphism, load_morphism
 from .words import factors, palindrome_cut_index, palindrome_set
 
 
-class Stream:
-    """Prefix provider for an infinite word."""
-
-    name = "stream"
-    periodic = False
-
-    def prefix(self, n: int) -> str:
-        raise NotImplementedError
-
-    def cover(self, n: int) -> str:
-        """A prefix that holds every factor of length <= n of the word."""
-        raise NotImplementedError
-
-
-class MorphicStream(Stream):
+class MorphicStream:
     """Fixed point of an endomorphism, optionally pushed through an outer
     morphism (images of prefixes are prefixes of the image word).
 
-    Keeps the latest iterate inner^k(seed) and its outer image; a longer
-    prefix costs one more apply of each morphism per iterate.
+    prefix(n) applies inner to the seed until the outer image of the
+    iterate has n letters; each builder reads one prefix of a stream.
     """
+
+    periodic = False
 
     def __init__(self, name: str, inner: Morphism, seed: str,
                  outer: Morphism | None = None):
@@ -69,17 +57,16 @@ class MorphicStream(Stream):
         self.inner = inner
         self.outer = outer
         # fixed_point_prefix refuses a seed the fixed point does not grow from
-        self.seed = self._iterate = inner.fixed_point_prefix(seed, len(seed))
-        self._word = self._image(self._iterate)
+        self.seed = inner.fixed_point_prefix(seed, len(seed))
 
     def _image(self, w: str) -> str:
         return w if self.outer is None else self.outer.apply(w)
 
     def prefix(self, n: int) -> str:
-        while len(self._word) < n:
-            self._iterate = self.inner.apply(self._iterate)
-            self._word = self._image(self._iterate)
-        return self._word[:n]
+        w = self.seed
+        while len(word := self._image(w)) < n:
+            w = self.inner.apply(w)
+        return word[:n]
 
     def primitive(self) -> bool:
         """Whether inner is primitive on the letters A of its fixed point:
@@ -129,7 +116,7 @@ class MorphicStream(Stream):
         return self._image(w)
 
 
-class PeriodicStream(Stream):
+class PeriodicStream:
     periodic = True
 
     def __init__(self, period_word: str):
@@ -143,6 +130,10 @@ class PeriodicStream(Stream):
     def cover(self, n: int) -> str:
         # every factor of length n starts at one of the first |period| letters
         return self.prefix(len(self.period_word) + n - 1)
+
+
+# an infinite word, read through prefix(n) and cover(n)
+Stream = MorphicStream | PeriodicStream
 
 
 # the named words: the fixed point p of phi and its images under nu and mu
@@ -181,10 +172,6 @@ class ExtensionProfile:
     @property
     def kind(self) -> str:
         return "ordinary" if self.b == 0 else ("weak" if self.b < 0 else "strong")
-
-    @property
-    def bispecial(self) -> bool:
-        return len(self.left) >= 2 and len(self.right) >= 2
 
 
 def extension_profile(w: str, stream: Stream) -> ExtensionProfile:

@@ -8,7 +8,7 @@ over the a-free source tree with an incremental freeness test on the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -23,21 +23,28 @@ PAL_WINDOW_CAP = 64
 
 @dataclass(frozen=True)
 class TransferInstance:
+    """A q-uniform synchronizing morphism h, source bound a and target bound
+    b with 1 < a < b, or ValueError; q and the threshold t follow."""
+
     name: str
     h: Morphism
     source_bound: ExponentBound
     target_bound: ExponentBound
     claimed_palindromes: int
+    q: int = field(init=False)
+    threshold: Fraction = field(init=False)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         a, b = self.source_bound.threshold, self.target_bound.threshold
         if not (1 < a < b):
             raise ValueError(f"{self.name}: need 1 < a < b, got a={a}, b={b}")
-        if self.h.is_uniform() is None:
+        if (q := self.h.is_uniform()) is None:
             raise ValueError(f"{self.name}: morphism is not uniform")
         sync = self.h.is_synchronizing()
         if sync is not True:
             raise ValueError(f"{self.name}: morphism not synchronizing: {sync}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "threshold", mrs_threshold(a, b, q))
 
 
 # the eight shipped instances: (source bound, target bound, claimed
@@ -64,10 +71,8 @@ def load_instance(name: str) -> TransferInstance:
         src, tgt, budget = _SHIPPED[name]
     except KeyError:
         raise ValueError(f"unknown transfer instance {name!r}") from None
-    inst = TransferInstance(name, load_morphism(name), ExponentBound.parse(src),
+    return TransferInstance(name, load_morphism(name), ExponentBound.parse(src),
                             ExponentBound.parse(tgt), budget)
-    inst.validate()
-    return inst
 
 
 def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
@@ -82,38 +87,37 @@ def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
 
 
 class ImageState:
-    """Push/pop state of a walk over source words that pushes the image of
-    every accepted source letter onto target.
+    """Push/pop state of a walk over the source words of inst.
 
-    A source letter is accepted when the source checker accepts it; its
-    whole image is then pushed onto target, and the target's answers are
-    kept in got."""
+    A letter the source bound accepts pushes its q image letters onto
+    target, whose answers are kept in got; a refused one pushes nothing,
+    and the flag refused makes the pop that follows it pop the source
+    letter only, as in search.ConstraintState."""
 
-    def __init__(self, source: IncrementalFreeChecker, target, images):
-        self.source = source
+    def __init__(self, inst: TransferInstance, target):
+        self.source = IncrementalFreeChecker(inst.source_bound)
         self.target = target
-        self.images = images
+        self.images = inst.h.images
+        self.q = inst.q
         self.got: list = []
-        self.sizes: list[int] = []  # target letters pushed, per source letter
+        self.refused = False  # the last push was refused by the source bound
 
     def push(self, c: str) -> bool:
         if not self.source.push(c):
-            self.sizes.append(0)
+            self.refused = True
             return False
-        got = self.got = list(map(self.target.push, self.images[int(c)]))
-        self.sizes.append(len(got))
+        self.got = list(map(self.target.push, self.images[int(c)]))
         return True
 
     def pop(self) -> None:
-        for _ in range(self.sizes.pop()):
+        for _ in range(0 if self.refused else self.q):
             self.target.pop()
+        self.refused = False
         self.source.pop()
 
 
 @dataclass
 class TransferResult:
-    q: int
-    threshold: Fraction
     depth: int
     words_checked: int
     passed: bool
@@ -124,12 +128,8 @@ class TransferResult:
 def verify_transfer(inst: TransferInstance, depth: int | None = None) -> TransferResult:
     """Check that images of all source-bound-free words of length
     <= ceil(threshold) satisfy the target bound."""
-    inst.validate()
-    q = inst.h.is_uniform()
-    t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
-    tdepth = ceil(t) if depth is None else depth
-    state = ImageState(IncrementalFreeChecker(inst.source_bound),
-                       IncrementalFreeChecker(inst.target_bound), inst.h.images)
+    tdepth = ceil(inst.threshold) if depth is None else depth
+    state = ImageState(inst, IncrementalFreeChecker(inst.target_bound))
     checked = 0
     violation_source = None
 
@@ -143,7 +143,7 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
 
     walk(state, ALPHABETS[inst.h.source_size], tdepth, visit, [""])
     passed = violation_source is None
-    result = TransferResult(q, t, tdepth, checked, passed)
+    result = TransferResult(tdepth, checked, passed)
     if not passed:
         result.violation_source = violation_source
         result.violation = str(is_free(inst.h.apply(violation_source),
@@ -184,8 +184,7 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
     letter images, so it lies in h(u) for a free factor u of at most window
     letters."""
     tree = Eertree()
-    state = ImageState(IncrementalFreeChecker(inst.source_bound), tree,
-                       inst.h.images)
+    state = ImageState(inst, tree)
     found: dict[str, int] = {}
 
     def visit(word: str) -> None:
@@ -215,10 +214,8 @@ def verify_palindrome_budget(inst: TransferInstance,
     cut shows, the walk deepens to the least d whose horizon reaches the
     longest palindrome seen + 2 (the first place a cut can show), but never
     past w + 2, whose walk answers window w + 2 as well when w has no cut."""
-    inst.validate()
-    q = inst.h.is_uniform()
-    t = mrs_threshold(inst.source_bound.threshold, inst.target_bound.threshold, q)
-    w = window if window is not None else ceil(t) + 2
+    q = inst.q
+    w = window if window is not None else ceil(inst.threshold) + 2
     depth, labels, complete = 0, {}, False
     while True:
         if not complete and depth < w:

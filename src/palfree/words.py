@@ -1,4 +1,4 @@
-"""Finite words over small alphabets: factors, palindromes, Parikh vectors.
+"""Finite words over small alphabets: factors and palindromes.
 
 Words are plain strings of ASCII digits ("0".."3").  Strings are immutable,
 hashable, compare lexicographically (letters are ordered 0 < 1 < 2 < 3),
@@ -43,14 +43,6 @@ def complement(w: str) -> str:
     """Bit complement; only defined on binary words."""
     check_word(w, 2)
     return w.translate(_COMPLEMENT)
-
-
-def parikh(w: str, alphabet_size: int | None = None) -> tuple[int, ...]:
-    """Per-letter occurrence counts."""
-    if alphabet_size is None:
-        alphabet_size = max((int(c) for c in w), default=-1) + 1
-        alphabet_size = max(alphabet_size, 1)
-    return tuple(w.count(c) for c in ALPHABETS[alphabet_size])
 
 
 def palindrome_set(w: str) -> set[str]:

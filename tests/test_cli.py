@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from palfree import cli
-from palfree.certificates import read_certificate
+from palfree import cli, structure
+from palfree.certificates import parse_certificate, read_certificate
 from palfree.cli import (COMMANDS, GREEN_ANCHORS, build_parser, canonical_command,
                          classify_cell, main, run_command)
 from palfree.structure import named_stream
@@ -37,11 +37,11 @@ def test_classify_cells():
 
 
 def test_green_anchor_budgets_match_registry():
-    from palfree.transfer import load_instance
-    for name, (p, beta) in GREEN_ANCHORS.items():
-        inst = load_instance(name)
-        assert inst.claimed_palindromes == p
-        assert inst.target_bound.threshold == beta
+    # Table 1's eight anchors: (palindrome budget, target bound) per instance
+    assert GREEN_ANCHORS == {
+        "thm3a": (11, F(10, 3)), "thm3b": (12, F(23, 7)), "thm3c": (13, F(3)),
+        "thm3d": (15, F(8, 3)), "thm3e": (18, F(13, 5)), "thm3f": (19, F(28, 11)),
+        "thm3g": (21, F(5, 2)), "thm3h": (25, F(7, 3))}
 
 
 def test_table1_periodic_cell(capsys):
@@ -118,6 +118,23 @@ def test_exponent_bound_check_cli():
     bad = run("exponent --word mu_p --method empirical --prefix 30000 --bound 5/2")
     assert bad.outcome == "fail"
     assert bad.evidence["free"].startswith("no")
+
+
+@pytest.mark.parametrize("broken", ["family-bound", "cross-check"])
+def test_bispecial_exponent_failure_is_a_fail_certificate(broken, monkeypatch, capsys):
+    """A family bound that does not hold, or an enumeration that disagrees
+    with the families, prints a fail certificate with one error line."""
+    if broken == "family-bound":
+        monkeypatch.setitem(structure.TARGET_RATIO, "nu_p", F(7, 5))
+        message = "tail bounds undecided for families ['A', 'B', 'C', 'D']"
+    else:
+        monkeypatch.setattr(structure, "critical_exponent_via_bispecials",
+                            lambda stream, max_bs_len: F(2))
+        message = "enumeration (2) disagrees with families (5/2)"
+    code = main(["exponent", "--word", "nu_p", "--method", "bispecial", "--expect", "5/2"])
+    cert = parse_certificate(capsys.readouterr().out)
+    assert code == 1 and cert.outcome == "fail"
+    assert cert.evidence == {"word": "nu_p", "method": "bispecial", "error": message}
 
 
 def test_palindromes_cli():

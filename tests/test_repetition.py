@@ -446,7 +446,7 @@ def test_incremental_checker_matches_per_period_oracle(spec, alphabet,
             if undo_rejected and not ok:
                 fast.pop()
                 oracle.pop()
-        assert fast.word() == oracle.word()
+        assert fast.w == oracle.word()
 
 
 @pytest.mark.parametrize("cap", [0, 3, repetition._SHORT_CAP])
@@ -481,7 +481,7 @@ def test_incremental_checker_verdict_table_matches_oracle(spec, cap, monkeypatch
                 if undo_rejected and not ok:
                     fast.pop()
                     oracle.pop()
-            assert fast.word() == oracle.word()
+            assert fast.w == oracle.word()
             if cap < 100 and len(alphabet) > 1:
                 assert len(fast._short) == cap
     assert min(lengths) < span and span in lengths and max(lengths) > span

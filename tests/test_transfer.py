@@ -73,24 +73,28 @@ def test_enumerate_free_words_examples():
 
 
 def test_image_state_pushes_and_pops_images():
-    # the whole image is pushed, also past a letter the target refuses
-    source = IncrementalFreeChecker(ExponentBound.parse("7/3+"))
+    # thm3d: 0 -> 001, 1 -> 101, source bound 7/3+; the whole image is
+    # pushed, also past a letter the target refuses
+    inst = load_instance("thm3d")
     target = IncrementalFreeChecker(ExponentBound.parse("2"))
-    state = ImageState(source, target, ("001", "1"))
-    assert state.push("1") and state.got == [True]
-    assert state.push("0") and state.got[:2] == [True, False]
-    assert target.word() == "1001"
+    state = ImageState(inst, target)
+    assert state.push("1") and state.got == [True, True, True]
+    assert state.push("0") and state.got == [False, False, True]
+    assert target.w == "101001"
     state.pop()
-    assert (source.word(), target.word()) == ("1", "1")
+    assert (state.source.w, target.w) == ("1", "101")
+    # a refused source letter pushes nothing, and its pop pops no target letter
+    assert state.push("1") and not state.push("1") and target.w == "101101"
     state.pop()
-    assert (source.word(), target.word()) == ("", "")
-    # a refused source letter pushes nothing onto the target
+    assert (state.source.w, target.w) == ("11", "101101")
+    state.pop()
+    state.pop()
+    assert (state.source.w, target.w) == ("", "")
     tree = Eertree()
-    state = ImageState(IncrementalFreeChecker(ExponentBound.parse("7/3+")),
-                       tree, ("00", "1"))
+    state = ImageState(inst, tree)
     assert state.push("0") and state.push("0")
-    assert [tree.node_word(v) for v in state.got] == ["000", "0000"]
-    assert not state.push("0") and len(tree) == 4
+    assert [tree.node_word(v) for v in state.got] == ["010", "00100", "1001"]
+    assert not state.push("0") and len(tree) == 6
     for _ in range(3):
         state.pop()
     assert len(tree) == 0 and tree.count() == 0
@@ -98,28 +102,28 @@ def test_image_state_pushes_and_pops_images():
 
 def test_instance_validation():
     inst = load_instance("thm3d")
-    inst.validate()
     with pytest.raises(ValueError):
         TransferInstance("bad-order", inst.h, ExponentBound.parse("8/3+"),
-                         ExponentBound.parse("7/3+"), 15).validate()
+                         ExponentBound.parse("7/3+"), 15)
     with pytest.raises(ValueError):
         TransferInstance("equal-bounds", inst.h, ExponentBound.parse("8/3+"),
-                         ExponentBound.parse("8/3+"), 15).validate()
+                         ExponentBound.parse("8/3+"), 15)
     nonuniform = Morphism(("01", "0"))
     with pytest.raises(ValueError):
         TransferInstance("nonuniform", nonuniform, ExponentBound.parse("7/3+"),
-                         ExponentBound.parse("8/3+"), 9).validate()
+                         ExponentBound.parse("8/3+"), 9)
     nonsync = Morphism(("01", "01"))
     with pytest.raises(ValueError):
         TransferInstance("nonsync", nonsync, ExponentBound.parse("7/3+"),
-                         ExponentBound.parse("8/3+"), 9).validate()
+                         ExponentBound.parse("8/3+"), 9)
 
 
 def test_verify_transfer_small_instance():
-    res = verify_transfer(load_instance("thm3d"))
+    inst = load_instance("thm3d")
+    res = verify_transfer(inst)
     assert res.passed
-    assert res.q == 3
-    assert res.threshold == 16
+    assert inst.q == 3
+    assert inst.threshold == 16
     assert res.depth == 16
     assert res.words_checked > 1000
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
 from palfree.words import (complement, factors, palindrome_count, palindrome_set,
-                           parikh, reverse)
+                           reverse)
 
 binary = st.text(alphabet="01", max_size=60)
 quaternary = st.text(alphabet="0123", max_size=50)
@@ -51,18 +51,6 @@ def test_palindrome_scan_agreement(w):
 def test_palindromes_closed_under_reversal(w):
     for x in palindrome_set(w):
         assert x == reverse(x)
-
-
-@given(st.text(alphabet="012", max_size=40), st.text(alphabet="012", max_size=40))
-def test_parikh_additive(u, v):
-    a = parikh(u, 3)
-    b = parikh(v, 3)
-    assert parikh(u + v, 3) == tuple(x + y for x, y in zip(a, b))
-
-
-def test_parikh_prefix_of_p(p_word):
-    # direct count over the 11-letter prefix
-    assert parikh(p_word[:11], 3) == (4, 4, 3)
 
 
 def test_palindrome_count_monotone(nu_word):

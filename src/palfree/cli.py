@@ -9,6 +9,7 @@ or as a path that cannot be read (replay) or written (--out, --out-dir).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shlex
 import sys
@@ -601,7 +602,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every call: parse_args leaves it as it was, and an
+    append flag copies its default list before appending."""
     ap = argparse.ArgumentParser(prog="palfree",
                                  description="verification toolkit for "
                                              "palindrome-scarce repetition-free words")

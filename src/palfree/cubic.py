@@ -7,6 +7,7 @@ here is outward rounded, so an Interval.certainly_leq verdict is a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,8 +168,11 @@ def eval_poly(coeffs, x: Interval) -> Interval:
     return out
 
 
+@functools.cache
 def isolate_root(width: Fraction = DEFAULT_WIDTH) -> Interval:
-    """The cubic's Perron root, by bisection of [1, 2]; exact endpoints."""
+    """The cubic's Perron root, by bisection of [1, 2]; exact endpoints.
+    One Interval per width serves every caller: its endpoints are only
+    written in __init__."""
     lo, hi = Fraction(1), Fraction(2)
     if not (eval_poly(CUBIC, Interval(lo)).hi < 0 < eval_poly(CUBIC, Interval(hi)).lo):
         raise ValueError("the cubic has no sign change on [1, 2]")
@@ -207,7 +211,7 @@ def solve_sequence(seeds, width: Fraction = DEFAULT_WIDTH) -> CubicConstants:
     beta + lam + lam' = 2, so the complex pair is derived from beta alone.
     """
     s0, s1, s2 = seeds
-    beta = isolate_root(width=width)
+    beta = isolate_root(width)
     lam_re = (2 - beta) * Fraction(1, 2)
     lam_abs2 = 1 / beta
     lam_im = sqrt_interval(lam_abs2 - lam_re * lam_re, width)
@@ -222,7 +226,7 @@ def solve_sequence(seeds, width: Fraction = DEFAULT_WIDTH) -> CubicConstants:
 
 
 def perron_root() -> Interval:
-    return isolate_root()
+    return isolate_root(DEFAULT_WIDTH)
 
 
 def asymptotic_exponent_value() -> Interval:

@@ -142,6 +142,12 @@ _SHORT = 8  # the periods below _SHORT are answered from the verdict table
 # most verdicts one checker's table stores: about 100 bytes each, so at most
 # 6.5 MiB, while the largest table of a benchmark job holds 7,118
 _SHORT_CAP = 1 << 16
+# push_block tests a band once per block when the K = need[P] - q letters
+# before a q-letter block number at least _WIDE, and per letter otherwise.
+# On the transfer walks 8, 16 and 32 measured within a few per cent of each
+# other, while 1 was 50 % slower on thm3h: a short K finds many candidates,
+# and each costs up to q slice comparisons
+_WIDE = 16
 
 
 class IncrementalFreeChecker:
@@ -178,6 +184,15 @@ class IncrementalFreeChecker:
     fastest.  Each band's constants are one row of _bands, added once when
     _need first covers the band, so _bands holds O(log n) rows and push
     only unpacks them.
+
+    push_block(block) appends q = len(block) letters with one copy.  It
+    tests the verdict table and the bands with m < q + _WIDE at each letter
+    as push does.  Each wider band is tested once per block: the last m
+    letters before any end in the block hold the K = m - q letters before
+    the block, so one find of those K letters yields every candidate period
+    of the band, and each candidate is confirmed by push's slice comparison
+    at every end in the block.  The transfer walks push whole letter images
+    this way.
     """
 
     __slots__ = ("bound", "buf", "n", "_need", "_bands", "_span", "_short")
@@ -258,6 +273,69 @@ class IncrementalFreeChecker:
                 if k == m or (k + p <= n and buf[n - k - p:n - p] == buf[n - k:n]):
                     return False
                 s = find(suffix, s + 1, end)
+        return True
+
+    def push_block(self, block: str) -> bool:
+        """Push every letter of block with one copy; False exactly when a
+        violation ends at one of them, given that the word before block was
+        free.  The block is pushed whole either way, so len(block) pops undo
+        it."""
+        n0 = self.n
+        q = len(block)
+        buf = self.buf
+        if not buf.startswith(block, n0):
+            buf = self.buf = buf[:n0] + block
+        n = self.n = n0 + q
+        need = self._need
+        if len(need) <= n:
+            self._extend_tables(2 * n)
+        bands = self._bands
+        wide = q + _WIDE  # the bands with m >= wide are tested once per block
+        short = self._short
+        span = self._span
+        find = buf.find
+        for e in range(n0 + 1, n + 1):  # the word's length at each letter
+            s = e - span
+            key = buf[s if s > 0 else 0:e]
+            ok = short.get(key)
+            if ok is None:
+                ok = self._short_free(key)
+                if len(short) < _SHORT_CAP:
+                    short[key] = ok
+            if not ok:
+                return False
+            for reach, m, P, back in bands:
+                if reach > e or m >= wide:
+                    break
+                suffix = buf[e - m:e]
+                end = e - P
+                s = e - back
+                s = find(suffix, s if s > 0 else 0, end)
+                while s >= 0:
+                    p = e - m - s
+                    k = need[p]
+                    if k == m or (k + p <= e and buf[e - k - p:e - p] == buf[e - k:e]):
+                        return False
+                    s = find(suffix, s + 1, end)
+        for reach, m, P, back in bands:
+            if reach > n:
+                break
+            if m < wide:
+                continue
+            # the last m letters before any end in the block hold the
+            # m - q letters before the block, so their occurrences p letters
+            # earlier, P <= p < _BAND * P, are every candidate period
+            before = buf[n0 + q - m:n0]
+            end = n0 - P
+            s = n - back
+            s = find(before, s if s > 0 else 0, end)
+            while s >= 0:
+                p = n - m - s
+                k = need[p]
+                for e in range(max(n0 + 1, k + p), n + 1):
+                    if buf[e - k - p:e - p] == buf[e - k:e]:
+                        return False
+                s = find(before, s + 1, end)
         return True
 
     def pop(self) -> None:

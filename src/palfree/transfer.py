@@ -89,24 +89,26 @@ def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
 class ImageState:
     """Push/pop state of a walk over the source words of inst.
 
-    A letter the source bound accepts pushes its q image letters onto
-    target, whose answers are kept in got; a refused one pushes nothing,
-    and the flag refused makes the pop that follows it pop the source
-    letter only, as in search.ConstraintState."""
+    A letter the source bound accepts pushes its image onto target with
+    one push_block call, whose answer is kept in got: one bool for an
+    IncrementalFreeChecker (False when a violation ends in the image), the
+    list of per-letter nodes for an uncapped Eertree.  A refused letter
+    pushes nothing, and the flag refused makes the pop that follows it pop
+    the source letter only, as in search.ConstraintState."""
 
     def __init__(self, inst: TransferInstance, target):
         self.source = IncrementalFreeChecker(inst.source_bound)
         self.target = target
         self.images = inst.h.images
         self.q = inst.q
-        self.got: list = []
+        self.got = None
         self.refused = False  # the last push was refused by the source bound
 
     def push(self, c: str) -> bool:
         if not self.source.push(c):
             self.refused = True
             return False
-        self.got = list(map(self.target.push, self.images[int(c)]))
+        self.got = self.target.push_block(self.images[int(c)])
         return True
 
     def pop(self) -> None:
@@ -136,7 +138,7 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
     def visit(word: str) -> bool:
         nonlocal checked, violation_source
         checked += 1
-        if all(state.got):
+        if state.got:
             return False
         violation_source = word
         return True

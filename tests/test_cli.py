@@ -287,6 +287,26 @@ def test_optimality_cli_rejects_symmetry_with_asymmetric_forbid(capsys):
     assert "symmetry" in capsys.readouterr().err
 
 
+def test_run_command_calls_do_not_share_append_lists(monkeypatch):
+    """build_parser() is built once, so every call shares the default list
+    of an append flag such as --forbid: each call still gets its own list,
+    and the default stays empty."""
+    help_text, builder, flags = COMMANDS["optimality"]
+    seen = []
+
+    def spy(**kw):
+        seen.append(kw["forbid"])
+        return builder(**kw)
+
+    monkeypatch.setitem(COMMANDS, "optimality", (help_text, spy, flags))
+    for forbid in (["00"], ["11"], []):
+        run_command(["optimality", "--pal", "5", "--cap", "6"]
+                    + [a for f in forbid for a in ("--forbid", f)])
+    assert seen == [["00"], ["11"], []]
+    assert seen[0] is not seen[1]
+    assert build_parser() is build_parser()
+
+
 def test_python_dash_m_palfree_runs_the_cli():
     import palfree
     src = os.path.dirname(os.path.dirname(palfree.__file__))

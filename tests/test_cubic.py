@@ -5,10 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import closed_form
-from palfree.cubic import (CUBIC, ComplexInterval, Interval, as_complex,
-                           asymptotic_exponent_value, eval_poly, isolate_root,
-                           solve_sequence, sqrt_interval)
-from palfree.structure import length_sequence
+from palfree.cubic import (CUBIC, DEFAULT_WIDTH, ComplexInterval, Interval,
+                           as_complex, asymptotic_exponent_value, eval_poly,
+                           isolate_root, solve_sequence, sqrt_interval)
+from palfree.structure import TAIL_WIDTH, length_sequence
 
 F = Fraction
 rationals = st.fractions(min_value=-100, max_value=100)
@@ -56,6 +56,17 @@ def test_root_isolation():
     val = eval_poly(CUBIC, beta)
     assert val.lo <= 0 <= val.hi
     assert abs(beta.mid - F("1.75488")) < F(1, 10 ** 5)
+
+
+def test_isolate_root_is_bisected_once_per_width():
+    """The cached root equals a fresh bisection at each width the callers
+    use: solve_sequence's and perron_root's default, the asymptotic
+    exponent's 10^-14 and the tail bounds' 10^-16."""
+    for width in (DEFAULT_WIDTH, F(1, 10 ** 14), TAIL_WIDTH):
+        cached = isolate_root(width)
+        fresh = isolate_root.__wrapped__(width)
+        assert (cached.lo, cached.hi) == (fresh.lo, fresh.hi)
+        assert isolate_root(width) is cached
 
 
 def test_solved_constants_reproduce_integer_sequences():

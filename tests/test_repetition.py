@@ -567,3 +567,74 @@ def test_smallest_period_definition(w):
     assert all(w[i] == w[i + p] for i in range(len(w) - p))
     for q in range(1, p):
         assert any(w[i] != w[i + q] for i in range(len(w) - q))
+
+
+THUE_MORSE = "".join(str(bin(i).count("1") % 2) for i in range(2048))
+
+
+def _narrow_violation(x, lengths, start, stop):
+    """True when a violation ends at one of the letters x[start:stop] at a
+    period p below len(lengths), lengths[p] = min_violating_length(p)."""
+    return any(x[e - k:e - p] == x[e - k + p:e]
+               for e in range(start + 1, stop + 1)
+               for p, k in enumerate(lengths) if 0 < p and k <= e)
+
+
+@pytest.mark.parametrize("spec", ["7/3+", "5/2+", "3+"])
+def test_push_block_matches_letter_pushes_in_the_wide_bands(spec):
+    """push_block against all(push(c) for c in block) on words free before
+    the block.  Each word is a factor of the Thue-Morse word, which is
+    overlap-free and so free under all three bounds, continued letter by
+    letter at a period p, 128 <= p < 290, until the checker refuses a
+    letter; 128 starts a band.  Blocks of q = 1, 2, 3, 5 and 8 letters
+    are pushed at every offset that ends just before the refused letter or
+    holds it.  Some refusals have no violation at a period that push_block
+    tests per letter, so only its once-per-block step finds them."""
+    b = ExponentBound.parse(spec)
+    rng = random.Random(spec)
+    chk = IncrementalFreeChecker(b)
+    refusals = wide_only = 0
+    for p in range(128, 290, 2):
+        a = rng.randrange(1024)
+        x = THUE_MORSE[a:a + rng.randrange(p, 2 * p)]
+        assert all(map(chk.push, x))
+        while chk.push(x[-p]):
+            x += x[-p]
+        r = len(x)  # the refused letter is x[r]
+        x += x[-p]
+        for _ in range(8):
+            x += x[-p]
+        for _ in range(16):
+            chk.pop()
+        for q in (1, 2, 3, 5, 8):
+            # the periods below the first band that push_block tests once
+            # per block
+            below = next(P for _reach, m, P, _back in chk._bands
+                         if m >= q + repetition._WIDE)
+            lengths = [b.min_violating_length(p) for p in range(below)]
+            assert all(map(chk.push, x[r - 15:r - 2 * q + 1]))
+            for start in range(r - 2 * q + 1, r + 1):
+                block = x[start:start + q]
+                got = chk.push_block(block)
+                for _ in block:
+                    chk.pop()
+                pushed, want = 0, True
+                for c in block:
+                    pushed += 1
+                    if not chk.push(c):
+                        want = False
+                        break
+                for _ in range(pushed):
+                    chk.pop()
+                assert got == want, (spec, p, q, start - r)
+                assert want == (start + q <= r)
+                if not want:
+                    refusals += 1
+                    wide_only += not _narrow_violation(x, lengths, start, start + q)
+                assert chk.push(x[start]) or start == r
+            for _ in range(r - 15, r + 1):
+                chk.pop()
+        for _ in range(r - 15):
+            chk.pop()
+        assert chk.n == 0
+    assert refusals == 81 * 19 and wide_only > 0

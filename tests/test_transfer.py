@@ -78,8 +78,8 @@ def test_image_state_pushes_and_pops_images():
     inst = load_instance("thm3d")
     target = IncrementalFreeChecker(ExponentBound.parse("2"))
     state = ImageState(inst, target)
-    assert state.push("1") and state.got == [True, True, True]
-    assert state.push("0") and state.got == [False, False, True]
+    assert state.push("1") and state.got is True
+    assert state.push("0") and state.got is False
     assert target.w == "101001"
     state.pop()
     assert (state.source.w, target.w) == ("1", "101")
@@ -136,6 +136,72 @@ def test_verify_transfer_walks_the_morphism_source_alphabet():
     assert res.passed and res.depth == 14
     free = enumerate_free_words(3, inst.source_bound, 14)
     assert res.words_checked == len(free) - 1 == 1767  # the empty word is not visited
+
+
+class PerLetterImageState:
+    """Oracle for ImageState over an IncrementalFreeChecker target: the q
+    image letters are pushed one at a time, and got is True when the target
+    accepted every one of them."""
+
+    def __init__(self, inst):
+        self.source = IncrementalFreeChecker(inst.source_bound)
+        self.target = IncrementalFreeChecker(inst.target_bound)
+        self.images = inst.h.images
+        self.sizes = []  # target letters pushed for each source letter
+        self.got = None
+
+    def push(self, c):
+        if not self.source.push(c):
+            self.sizes.append(0)
+            return False
+        image = self.images[int(c)]
+        self.got = all([self.target.push(x) for x in image])
+        self.sizes.append(len(image))
+        return True
+
+    def pop(self):
+        for _ in range(self.sizes.pop()):
+            self.target.pop()
+        self.source.pop()
+
+
+def _transfer_oracle(inst, depth):
+    """(words_checked, violation_source, passed) of verify_transfer, from a
+    walk over PerLetterImageState."""
+    state = PerLetterImageState(inst)
+    checked, bad = 0, None
+
+    def visit(word):
+        nonlocal checked, bad
+        checked += 1
+        if state.got:
+            return False
+        bad = word
+        return True
+
+    walk(state, ALPHABETS[inst.h.source_size], depth, visit, [""])
+    return checked, bad, bad is None
+
+
+@pytest.mark.parametrize("name", ["thm3a", "thm3b", "thm3c", "thm3d", "thm3g", "thm3h"])
+def test_verify_transfer_matches_per_letter_pushes(name):
+    """Whole walks at target bounds between the source bound and 8/3, most
+    of which fail, and at depths 6, 10 and 14: the block pushes of
+    verify_transfer check the same words and find the same first violating
+    source word as per-letter pushes."""
+    inst = load_instance(name)
+    walks = 0
+    for spec in ("9/4+", "11/5+", "7/3", "12/5+", "5/2", "5/2+", "8/3"):
+        bound = ExponentBound.parse(spec)
+        if bound.threshold <= inst.source_bound.threshold:
+            continue
+        tight = TransferInstance(name, inst.h, inst.source_bound, bound, 0)
+        for depth in (6, 10, 14):
+            res = verify_transfer(tight, depth)
+            assert ((res.words_checked, res.violation_source, res.passed)
+                    == _transfer_oracle(tight, depth)), (spec, depth)
+            walks += 1
+    assert walks == (21 if name == "thm3h" else 12)
 
 
 def test_verify_transfer_detects_violation():

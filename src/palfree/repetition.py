@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import sys
 
 from . import runs
 
@@ -185,14 +186,18 @@ class IncrementalFreeChecker:
     _need first covers the band, so _bands holds O(log n) rows and push
     only unpacks them.
 
-    push_block(block) appends q = len(block) letters with one copy.  It
-    tests the verdict table and the bands with m < q + _WIDE at each letter
-    as push does.  Each wider band is tested once per block: the last m
-    letters before any end in the block hold the K = m - q letters before
-    the block, so one find of those K letters yields every candidate period
-    of the band, and each candidate is confirmed by push's slice comparison
-    at every end in the block.  The transfer walks push whole letter images
-    this way.
+    push_block(block) appends q = len(block) letters with one copy and
+    calls push at each of them with the bands of m >= q + _WIDE left out.
+    Each of those wider bands is tested once per block: the last m letters
+    before any end in the block hold the K = m - q letters before the
+    block, so one find of those K letters yields every candidate period of
+    the band, and each candidate is confirmed by push's slice comparison at
+    every end in the block.  The transfer walks push whole letter images
+    this way.  Two other forms were measured (perfbench, 2 vCPUs): push as
+    push_block of one letter made backtrack 15 % slower (10 of 10 pairs);
+    push_block with its own inlined copy of push's per-letter tests ran
+    uniform_transfer in 0.225 s wall against 0.256 s for this form (5 of 5
+    pairs), at the cost of a second copy of the loop.
     """
 
     __slots__ = ("bound", "buf", "n", "_need", "_bands", "_span", "_short")
@@ -240,7 +245,10 @@ class IncrementalFreeChecker:
                 return False
         return True
 
-    def push(self, c: str) -> bool:
+    def push(self, c: str, wide: int = sys.maxsize) -> bool:
+        """Append c; False when a violation ends at it, given that the word
+        before it was free.  The bands with need[P] >= wide are left to the
+        caller: push_block tests them once per block."""
         n = self.n
         buf = self.buf
         if n == len(buf) or buf[n] != c:
@@ -261,7 +269,7 @@ class IncrementalFreeChecker:
             self._extend_tables(2 * n)
         find = buf.find
         for reach, m, P, back in self._bands:
-            if reach > n:
+            if reach > n or m >= wide:
                 break
             suffix = buf[n - m:n]
             end = n - P
@@ -285,39 +293,16 @@ class IncrementalFreeChecker:
         buf = self.buf
         if not buf.startswith(block, n0):
             buf = self.buf = buf[:n0] + block
-        n = self.n = n0 + q
-        need = self._need
-        if len(need) <= n:
-            self._extend_tables(2 * n)
-        bands = self._bands
+        n = n0 + q
         wide = q + _WIDE  # the bands with m >= wide are tested once per block
-        short = self._short
-        span = self._span
-        find = buf.find
-        for e in range(n0 + 1, n + 1):  # the word's length at each letter
-            s = e - span
-            key = buf[s if s > 0 else 0:e]
-            ok = short.get(key)
-            if ok is None:
-                ok = self._short_free(key)
-                if len(short) < _SHORT_CAP:
-                    short[key] = ok
-            if not ok:
+        push = self.push
+        for c in block:  # each letter is in place, so push copies nothing
+            if not push(c, wide):
+                self.n = n
                 return False
-            for reach, m, P, back in bands:
-                if reach > e or m >= wide:
-                    break
-                suffix = buf[e - m:e]
-                end = e - P
-                s = e - back
-                s = find(suffix, s if s > 0 else 0, end)
-                while s >= 0:
-                    p = e - m - s
-                    k = need[p]
-                    if k == m or (k + p <= e and buf[e - k - p:e - p] == buf[e - k:e]):
-                        return False
-                    s = find(suffix, s + 1, end)
-        for reach, m, P, back in bands:
+        need = self._need
+        find = buf.find
+        for reach, m, P, back in self._bands:
             if reach > n:
                 break
             if m < wide:

@@ -92,7 +92,9 @@ class ImageState:
     A letter the source bound accepts pushes its image onto target with
     one push_block call, whose answer is kept in got: one bool for an
     IncrementalFreeChecker (False when a violation ends in the image), the
-    list of per-letter nodes for an uncapped Eertree.  A refused letter
+    list of per-letter nodes for an Eertree.  The Eertree must be uncapped:
+    pop pops all q image letters whatever push_block answered, and a capped
+    tree does not append a letter it refuses.  A refused source letter
     pushes nothing, and the flag refused makes the pop that follows it pop
     the source letter only, as in search.ConstraintState."""
 

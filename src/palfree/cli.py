@@ -61,7 +61,7 @@ def cert_verify_morphism(instance: str, window: int | None, depth: int | None) -
     pal = transfer_mod.verify_palindrome_budget(inst, window)
     cert.put("palindrome-window", pal.window)
     cert.put("palindrome-count", pal.count)
-    cert.put("claimed-budget", pal.budget)
+    cert.put("claimed-budget", inst.claimed_palindromes)
     cert.put("cut-index", pal.cut_index if pal.cut_index is not None else "none")
     cert.put("stabilized", "yes" if pal.stabilized else "no")
     cert.lists["palindromes"] = ["(empty word)"] + pal.palindromes

@@ -74,12 +74,6 @@ class Eertree:
         self.parent.append(v)
         return node
 
-    def push_block(self, block: str) -> list:
-        """Push every letter of block; push's answer for each letter, in
-        order.  Under a cap, a letter answered False was not appended and
-        takes no pop."""
-        return list(map(self.push, block))
-
     def pop(self) -> None:
         s = self.s
         i = len(s) - 1

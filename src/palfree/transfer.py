@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .eertree import Eertree
 from .morphisms import Morphism, load_morphism
 from .repetition import ExponentBound, IncrementalFreeChecker, is_free
 from .search import walk
-from .words import ALPHABETS, palindrome_cut_index
+from .words import ALPHABETS, palindrome_cut_index, palindrome_set
 
 PAL_WINDOW_CAP = 64
 
@@ -87,23 +86,22 @@ def mrs_threshold(a: Fraction, b: Fraction, q: int) -> Fraction:
 
 
 class ImageState:
-    """Push/pop state of a walk over the source words of inst.
+    """Push/pop state of the transfer walk over the source words of inst,
+    which pushes their images onto target, an IncrementalFreeChecker.
 
     A letter the source bound accepts pushes its image onto target with
-    one push_block call, whose answer is kept in got: one bool for an
-    IncrementalFreeChecker (False when a violation ends in the image), the
-    list of per-letter nodes for an Eertree.  The Eertree must be uncapped:
-    pop pops all q image letters whatever push_block answered, and a capped
-    tree does not append a letter it refuses.  A refused source letter
-    pushes nothing, and the flag refused makes the pop that follows it pop
-    the source letter only, as in search.ConstraintState."""
+    one push_block call, whose answer got keeps: False when a violation
+    ends in the image.  push_block pushes the whole image either way, so
+    pop drops its q letters in one step.  A refused source letter pushes
+    nothing, and the flag refused makes the pop that follows it pop the
+    source letter only, as in search.ConstraintState."""
 
-    def __init__(self, inst: TransferInstance, target):
+    def __init__(self, inst: TransferInstance, target: IncrementalFreeChecker):
         self.source = IncrementalFreeChecker(inst.source_bound)
         self.target = target
         self.images = inst.h.images
         self.q = inst.q
-        self.got = None
+        self.got = False
         self.refused = False  # the last push was refused by the source bound
 
     def push(self, c: str) -> bool:
@@ -114,9 +112,10 @@ class ImageState:
         return True
 
     def pop(self) -> None:
-        for _ in range(0 if self.refused else self.q):
-            self.target.pop()
-        self.refused = False
+        if self.refused:
+            self.refused = False
+        else:
+            self.target.n -= self.q
         self.source.pop()
 
 
@@ -159,7 +158,6 @@ def verify_transfer(inst: TransferInstance, depth: int | None = None) -> Transfe
 class PalindromeBudgetResult:
     window: int
     count: int
-    budget: int
     within_budget: bool
     cut_index: int | None
     palindromes: list[str]
@@ -179,27 +177,24 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
     words w with |w| <= window (a superset of the limit language's set),
     each labelled with the length of the shortest such w.
 
-    The eertree's state at a visit depends only on the source word, and the
-    walk is prefix-closed, so the palindromes of any window k <= window are
-    exactly those labelled <= k: one walk answers every smaller window, and
-    a deeper walk only adds palindromes labelled above window.  The walk
+    Each visit labels the palindromes of its word's image, keeping the
+    least label, so the palindromes of any window k <= window are exactly
+    those labelled <= k: one walk answers every smaller window, and a
+    deeper walk only adds palindromes labelled above window.  The walk
     covers every image palindrome of length <= (window - 1) * q: a factor
     of length L of a q-uniform image spans at most ceil((L - 1) / q) + 1
     letter images, so it lies in h(u) for a free factor u of at most window
     letters."""
-    tree = Eertree()
-    state = ImageState(inst, tree)
     found: dict[str, int] = {}
 
     def visit(word: str) -> None:
         d = len(word)
-        for node in state.got:
-            if node is not None:
-                pal = tree.node_word(node)
-                if found.get(pal, d) >= d:
-                    found[pal] = d
+        for pal in palindrome_set(inst.h.apply(word)):
+            if pal and found.get(pal, d) >= d:
+                found[pal] = d
 
-    walk(state, ALPHABETS[inst.h.source_size], window, visit, [""])
+    walk(IncrementalFreeChecker(inst.source_bound), ALPHABETS[inst.h.source_size],
+         window, visit, [""])
     return found
 
 
@@ -239,7 +234,6 @@ def verify_palindrome_budget(inst: TransferInstance,
     stabilized = all(d <= w for d in labels.values())
     count = len(pals) + 1  # the empty word
     return PalindromeBudgetResult(
-        window=w, count=count, budget=inst.claimed_palindromes,
-        within_budget=count <= inst.claimed_palindromes, cut_index=cut,
-        palindromes=sorted(pals, key=lambda p: (len(p), p)),
+        window=w, count=count, within_budget=count <= inst.claimed_palindromes,
+        cut_index=cut, palindromes=sorted(pals, key=lambda p: (len(p), p)),
         stabilized=stabilized)

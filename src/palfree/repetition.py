@@ -140,8 +140,12 @@ def is_free(w: str, bound: ExponentBound) -> Violation | None:
 
 _BAND = 4  # IncrementalFreeChecker scans the periods in bands [P, _BAND * P)
 _SHORT = 8  # the periods below _SHORT are answered from the verdict table
-# most verdicts one checker's table stores: about 100 bytes each, so at most
-# 6.5 MiB, while the largest table of a benchmark job holds 7,118
+# most verdicts each verdict table of a checker stores.  A key of the
+# periods below _SHORT costs about 100 bytes, so that table stays under
+# 6.5 MiB; the largest of a benchmark job holds 7,118 keys.  A key of
+# push_block's table for q-letter blocks costs about span + 50 bytes, so
+# that table stays under (span + 50) * 64 KiB, one per block length; the
+# largest of a benchmark job, thm3h's, holds 108 keys of 332 letters
 _SHORT_CAP = 1 << 16
 # push_block tests a band once per block when the K = need[P] - q letters
 # before a q-letter block number at least _WIDE, and per letter otherwise.
@@ -193,14 +197,32 @@ class IncrementalFreeChecker:
     block, so one find of those K letters yields every candidate period of
     the band, and each candidate is confirmed by push's slice comparison at
     every end in the block.  The transfer walks push whole letter images
-    this way.  Two other forms were measured (perfbench, 2 vCPUs): push as
-    push_block of one letter made backtrack 15 % slower (10 of 10 pairs);
-    push_block with its own inlined copy of push's per-letter tests ran
-    uniform_transfer in 0.225 s wall against 0.256 s for this form (5 of 5
-    pairs), at the cost of a second copy of the loop.
+    this way.  Before the block table below, two other forms were measured
+    (perfbench, 2 vCPUs): push as push_block of one letter made backtrack
+    15 % slower (10 of 10 pairs); push_block with its own inlined copy of
+    push's per-letter tests ran uniform_transfer in 0.225 s wall against
+    0.256 s for per-letter push calls (5 of 5 pairs), at the cost of a
+    second copy of the loop.
+
+    The per-letter calls are mostly skipped, by one verdict table per block
+    length q, built the way the table of the periods below _SHORT is.  Let
+    Pw be the first band with m >= q + _WIDE, the first that push_block
+    tests once per block.  A violation at a period p < Pw that ends at a
+    letter of the block reads the min_violating_length(p) letters up to its
+    end, at most L = min_violating_length(Pw - 1), and the earliest end is
+    the block's first letter, so the last span = L + q - 1 letters of the
+    word decide every period below Pw at every end in the block.  Once the
+    word holds span letters, they key the table: a hit answers those
+    periods for the whole block with one lookup, and a miss calls push at
+    each letter and stores the verdict while the table holds fewer than
+    _SHORT_CAP entries.  A shorter word is its own key, and a walk pushes
+    it only once, so it skips the table.  The wide bands are tested once per
+    block either way.  A synchronizing morphism leaves few image contexts:
+    the 1,767 blocks of thm3h's walk end in 108 distinct 332-letter keys.
     """
 
-    __slots__ = ("bound", "buf", "n", "_need", "_bands", "_span", "_short")
+    __slots__ = ("bound", "buf", "n", "_need", "_bands", "_span", "_short",
+                 "_blocks")
 
     def __init__(self, bound: ExponentBound):
         self.bound = bound
@@ -216,6 +238,8 @@ class IncrementalFreeChecker:
         # them to True when none of those periods makes a violation
         self._span = bound.min_violating_length(_SHORT - 1)
         self._short: dict[str, bool] = {}
+        # q -> (span, table) for push_block's q-letter blocks (_block_table)
+        self._blocks: dict[int, tuple[int, dict[str, bool]]] = {}
 
     def _extend_tables(self, upto: int) -> None:
         """Extend _need to periods <= upto, and _bands to every band that
@@ -283,6 +307,18 @@ class IncrementalFreeChecker:
                 s = find(suffix, s + 1, end)
         return True
 
+    def _block_table(self, q: int) -> tuple[int, dict[str, bool]]:
+        """The key span and the verdict table of q-letter blocks: push_block
+        tests the bands from Pw up once per block, Pw the first with
+        need[Pw] >= q + _WIDE, and the last span letters decide every period
+        below Pw at every end in the block."""
+        length = self.bound.min_violating_length
+        P = _SHORT
+        while length(P) - P < q + _WIDE:
+            P *= _BAND
+        entry = self._blocks[q] = (length(P - 1) + q - 1, {})
+        return entry
+
     def push_block(self, block: str) -> bool:
         """Push every letter of block with one copy; False exactly when a
         violation ends at one of them, given that the word before block was
@@ -295,12 +331,25 @@ class IncrementalFreeChecker:
             buf = self.buf = buf[:n0] + block
         n = n0 + q
         wide = q + _WIDE  # the bands with m >= wide are tested once per block
-        push = self.push
-        for c in block:  # each letter is in place, so push copies nothing
-            if not push(c, wide):
-                self.n = n
-                return False
+        span, table = self._blocks.get(q) or self._block_table(q)
+        key = buf[n - span:n] if n >= span else None
+        ok = table.get(key)
+        if ok is None:
+            push = self.push
+            for c in block:  # each letter is in place, so push copies nothing
+                if not push(c, wide):
+                    ok = False
+                    break
+            else:
+                ok = True
+            if key is not None and len(table) < _SHORT_CAP:
+                table[key] = ok
+        self.n = n
+        if not ok:
+            return False
         need = self._need
+        if len(need) <= n:  # a hit pushed no letter, so nothing extended them
+            self._extend_tables(2 * n)
         find = buf.find
         for reach, m, P, back in self._bands:
             if reach > n:

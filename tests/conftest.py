@@ -57,10 +57,26 @@ def mu_word():
 
 
 def brute_critical_exponent(w):
-    """Definitional oracle: maximal exponent over all factors."""
-    from fractions import Fraction
+    """Oracle of the critical exponent: the largest length / period over
+    the maximal stretches of w, at least 1.  A factor v with smallest
+    period p lies inside a maximal stretch of period p, which is at least
+    as long, and a stretch of length ln at period p has exponent at least
+    ln / p, so the two maxima agree; test_critical_exponent_oracles_agree
+    checks that against factor_critical_exponent."""
+    return max((Fraction(ln, p) for ln, p, _st in maximal_stretches(w)),
+               default=Fraction(1))
 
+
+FACTOR_ORACLE_MAX = 60  # factor_critical_exponent is cubic in the length
+
+
+def factor_critical_exponent(w):
+    """Definitional oracle: maximal exponent over all factors, each read
+    off its smallest period; words of at most FACTOR_ORACLE_MAX letters."""
     from palfree.repetition import exponent_of
+    if len(w) > FACTOR_ORACLE_MAX:
+        raise ValueError(f"{len(w)} letters: the factor oracle takes at most "
+                         f"{FACTOR_ORACLE_MAX}")
     best = Fraction(1)
     n = len(w)
     for i in range(n):

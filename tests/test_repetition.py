@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PerPeriodFreeChecker, _first_violation_scan,
-                      brute_critical_exponent, maximal_stretches, violates)
+from conftest import (FACTOR_ORACLE_MAX, PerPeriodFreeChecker,
+                      _first_violation_scan, brute_critical_exponent,
+                      factor_critical_exponent, maximal_stretches, violates)
 from palfree import repetition, runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
                                 critical_exponent, exponent_of, is_free,
@@ -39,6 +40,18 @@ def test_critical_exponent_monotone_under_factors():
 @given(st.text(alphabet="012", min_size=1, max_size=14))
 def test_critical_exponent_against_oracle(w):
     assert critical_exponent(w) == brute_critical_exponent(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["0", "01", "012"]).flatmap(
+    lambda a: st.text(alphabet=a, min_size=1, max_size=FACTOR_ORACLE_MAX)))
+@example("0")
+@example("01" * 30)
+@example("".join(str(bin(i).count("1") % 2) for i in range(60)))  # Thue-Morse
+def test_critical_exponent_oracles_agree(w):
+    """The maximal-stretch oracle equals the factor-by-factor one on words
+    of 1-60 letters over one, two and three letters."""
+    assert brute_critical_exponent(w) == factor_critical_exponent(w)
 
 
 def test_integer_powers():
@@ -638,3 +651,135 @@ def test_push_block_matches_letter_pushes_in_the_wide_bands(spec):
             chk.pop()
         assert chk.n == 0
     assert refusals == 81 * 19 and wide_only > 0
+
+
+def _block_span(b, q):
+    """The letters that decide push_block's verdict on the periods below
+    Pw, the first band [P, 4P), P = 8, 32, ..., whose m = need[P] is at
+    least q + _WIDE: the longest such violation, at period Pw - 1, ending
+    at the block's first letter.  Returns (Pw, span)."""
+    length = b.min_violating_length
+    P = 8
+    while length(P) - P < q + repetition._WIDE:
+        P *= 4
+    return P, length(P - 1) + q - 1
+
+
+def _block_walk(b, blocks, rng, steps, undo_refused, tally):
+    """A random walk of push_block and block pops over the given blocks,
+    against the per-period oracle letter by letter: the verdict and the
+    word agree after every step.  The walk stays within a few blocks past
+    the longest span.  tally counts the pushes at or past span, the table
+    hits and the refused hits."""
+    fast, oracle = IncrementalFreeChecker(b), PerPeriodFreeChecker(b)
+    top = max(_block_span(b, len(x))[1] + 3 * len(x) for x in blocks)
+    pushed = []
+    for _ in range(steps):
+        n = len(oracle.w)
+        if pushed and (n > top or rng.random() < 0.3):
+            for _ in range(pushed.pop()):
+                fast.pop()
+                oracle.pop()
+            assert fast.n == len(oracle.w)
+            continue
+        block = rng.choice(blocks)
+        q = len(block)
+        span, table = fast._blocks.get(q, (0, {}))
+        hit = 0 < span <= n + q and (fast.w + block)[-span:] in table
+        ok = fast.push_block(block)
+        assert ok == all([oracle.push(c) for c in block]), (oracle.word(), block)
+        assert fast.w == oracle.word()
+        tally["past span"] += n + q >= _block_span(b, q)[1]
+        tally["hits"] += hit
+        tally["refused hits"] += hit and not ok
+        if ok or not undo_refused:
+            pushed.append(q)
+        else:
+            for _ in block:
+                fast.pop()
+                oracle.pop()
+    assert all(len(t) <= repetition._SHORT_CAP for _span, t in fast._blocks.values())
+    return fast
+
+
+def _uniform_images(rng, q, square_free):
+    """The letter images of a random q-uniform morphism on two or three
+    letters: random q-letter factors of the square-free Thue word, whose
+    walks run long without a refusal, or else random words over the
+    morphism's own letters."""
+    k = rng.choice((2, 3))
+    if square_free:
+        return [THUE[a:a + q] for a in rng.sample(range(len(THUE) - q), k)]
+    return ["".join(rng.choice("012"[:k]) for _ in range(q)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("cap", [0, 3, repetition._SHORT_CAP])
+@pytest.mark.parametrize("spec", ["7/3+", "5/2+", "3+", "2", "10/3+"])
+def test_push_block_verdict_table_matches_oracle(spec, cap, monkeypatch):
+    """push_block's verdict table against the per-period oracle, switched
+    off (cap 0), full after three blocks (cap 3) or at its shipped size:
+    random walks over the images of random q-uniform morphisms, q = 1, 2,
+    3, 5, 8 and 36, go past the key span; some pop each refused block and
+    some push on past it.  With a table, hits and refused hits occur, and a
+    table never holds more than cap verdicts."""
+    monkeypatch.setattr(repetition, "_SHORT_CAP", cap)
+    b = ExponentBound.parse(spec)
+    rng = random.Random(f"{spec} {cap}")
+    tally = {"past span": 0, "hits": 0, "refused hits": 0}
+    for q in (1, 2, 3, 5, 8, 36):
+        for undo_refused in (True, False):
+            images = _uniform_images(rng, q, undo_refused)
+            _block_walk(b, images, rng, 900 // q + 40, undo_refused, tally)
+    assert tally["past span"] > 0
+    if cap:
+        assert tally["hits"] > 0 and tally["refused hits"] > 0, tally
+    else:
+        assert tally["hits"] == 0
+
+
+@pytest.mark.parametrize("spec", ["7/3+", "5/2+", "3+", "2", "10/3+"])
+def test_push_block_verdict_table_reads_its_whole_span(spec):
+    """Two contexts that agree on their last span - 1 letters and differ
+    at letter n - span, pushed on one checker in both orders, get their
+    own verdicts.  In A the last L - 1 letters, L = min_violating_length(
+    Pw - 1), and the block's first letter have period Pw - 1, with Pw - 1
+    distinct letters per period, after a square-free prefix: a violation of
+    least length, at the widest period the table answers, ends at the
+    block's first letter and no other violation does.  B changes A's first
+    letter of that stretch to a fresh letter.  The block's other letters
+    are fresh as well."""
+    b = ExponentBound.parse(spec)
+    for q in (1, 2, 3, 5, 8, 36):
+        Pw, span = _block_span(b, q)
+        p, L = Pw - 1, b.min_violating_length(Pw - 1)
+        period = "".join(map(chr, range(0x100, 0x100 + p)))
+        stretch = (period * (L // p + 1))[:L]
+        A = THUE[:20] + stretch[:-1]
+        n = len(A) + q
+        B = A[:n - span] + "3" + A[n - span + 1:]
+        assert A[n - span:] == stretch[:-1] and B[n - span + 1:] == A[n - span + 1:]
+        block = stretch[-1] + "".join(map(chr, range(0x1000, 0x1000 + q - 1)))
+        for order in ((A, B), (B, A)):
+            chk = IncrementalFreeChecker(b)
+            for context in order:
+                assert all(map(chk.push, context))
+                assert chk.push_block(block) == (context is B), (spec, q, order[0] is A)
+                for _ in context + block:
+                    chk.pop()
+            assert len(chk._blocks[q][1]) == 2
+
+
+@pytest.mark.parametrize("lengths", [(1, 2), (3, 5), (8, 36), (36, 5)])
+@pytest.mark.parametrize("spec", ["7/3+", "5/2+", "2"])
+def test_push_block_keeps_a_table_per_block_length(spec, lengths):
+    """One checker fed the images of two uniform morphisms of different
+    lengths: every verdict is the oracle's, and each length has its own
+    table."""
+    b = ExponentBound.parse(spec)
+    rng = random.Random(f"{spec} {lengths}")
+    tally = {"past span": 0, "hits": 0, "refused hits": 0}
+    for undo_refused in (True, False):
+        images = [x for q in lengths for x in _uniform_images(rng, q, undo_refused)]
+        fast = _block_walk(b, images, rng, 400, undo_refused, tally)
+        assert sorted(fast._blocks) == sorted(lengths)
+    assert tally["hits"] > 0

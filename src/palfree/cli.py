@@ -453,11 +453,13 @@ def cert_table1(p: int, beta: str, cap: int, nodes: int | None) -> Certificate:
         cert.put("witness-word", detail)
         pal = cert_palindromes(detail, 100000, p)
         cert.put("palindrome-outcome", pal.outcome)
-        exp = cert_exponent(detail, "empirical", 100000, 0,
-                            str(bfrac), None)
+        # the bispecial families prove that no factor exceeds beta; a
+        # prefix's critical exponent would only show that beta is reached
+        exp = cert_exponent(detail, "bispecial", 0, 0, str(bfrac), None)
         cert.put("exponent-outcome", exp.outcome)
+        cert.put("exponent-method", exp.evidence["method"])
         cert.put("palindromes", pal.evidence["count"])
-        cert.put("critical-exponent", exp.evidence["critical-exponent"])
+        cert.put("critical-exponent", exp.evidence.get("critical-exponent", "none"))
         ok = pal.outcome == PASS and exp.outcome == PASS
         cert.outcome = PASS if ok else FAIL
     elif cls == "red":

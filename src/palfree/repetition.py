@@ -61,28 +61,6 @@ class Violation:
         return f"{self.factor} = ({self.period_word})^{self.exponent}"
 
 
-def smallest_period(w: str) -> int:
-    """Smallest p with w[i] == w[i+p] for all valid i (border function)."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("empty word has no period")
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = border[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        border[i] = k
-    return n - border[n - 1]
-
-
-def exponent_of(w: str) -> tuple[Fraction, str]:
-    """Maximal exponent |w|/p with p the smallest period, plus the period word."""
-    p = smallest_period(w)
-    return Fraction(len(w), p), w[:p]
-
-
 def critical_exponent(w: str, with_witness: bool = False):
     """max over factors v of |v| / smallest period of v, as an exact Fraction.
 

@@ -67,13 +67,34 @@ def brute_critical_exponent(w):
                default=Fraction(1))
 
 
+def smallest_period(w):
+    """Smallest p with w[i] == w[i+p] for all valid i (border function)."""
+    n = len(w)
+    if n == 0:
+        raise ValueError("empty word has no period")
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and w[i] != w[k]:
+            k = border[k - 1]
+        if w[i] == w[k]:
+            k += 1
+        border[i] = k
+    return n - border[n - 1]
+
+
+def exponent_of(w):
+    """Maximal exponent |w|/p with p the smallest period, plus the period word."""
+    p = smallest_period(w)
+    return Fraction(len(w), p), w[:p]
+
+
 FACTOR_ORACLE_MAX = 60  # factor_critical_exponent is cubic in the length
 
 
 def factor_critical_exponent(w):
     """Definitional oracle: maximal exponent over all factors, each read
     off its smallest period; words of at most FACTOR_ORACLE_MAX letters."""
-    from palfree.repetition import exponent_of
     if len(w) > FACTOR_ORACLE_MAX:
         raise ValueError(f"{len(w)} letters: the factor oracle takes at most "
                          f"{FACTOR_ORACLE_MAX}")

@@ -63,6 +63,24 @@ def test_table1_red_cells(p, beta, count):
     assert cert.evidence["palindromes"] == count
 
 
+@pytest.mark.parametrize("p,beta", [(18, "28/11"), (20, "5/2")])
+def test_table1_red_cell_rests_on_the_bispecial_proof(p, beta, monkeypatch):
+    """A red mu/nu cell takes its exponent from the bispecial families, so
+    it fails when that proof does; a prefix would still reach beta."""
+    cert = run(f"table1 --p {p} --beta {beta}")
+    assert cert.evidence["exponent-method"] == "bispecial"
+    assert cert.evidence["critical-exponent"] == beta
+
+    def unproved(kind):
+        raise ArithmeticError("tail bounds undecided")
+
+    monkeypatch.setattr(structure, "structural_exponent", unproved)
+    cert = run(f"table1 --p {p} --beta {beta}")
+    assert cert.outcome == "fail"
+    assert cert.evidence["exponent-outcome"] == "fail"
+    assert cert.evidence["palindrome-outcome"] == "pass"
+
+
 def test_table1_empty_cell():
     cert = run("table1 --p 14 --beta 8/3 --cap 200")
     assert cert.outcome == "pass"

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (FACTOR_ORACLE_MAX, PerPeriodFreeChecker,
                       _first_violation_scan, brute_critical_exponent,
-                      factor_critical_exponent, maximal_stretches, violates)
+                      exponent_of, factor_critical_exponent, maximal_stretches,
+                      smallest_period, violates)
 from palfree import repetition, runs
 from palfree.repetition import (ExponentBound, IncrementalFreeChecker,
-                                critical_exponent, exponent_of, is_free,
-                                smallest_period)
+                                critical_exponent, is_free)
 from palfree.structure import named_stream
 
 F = Fraction

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import palindrome_set_scan
 from palfree.eertree import Eertree
-from palfree.words import (complement, factors, palindrome_count, palindrome_set,
-                           reverse)
+from palfree.structure import named_stream
+from palfree.words import (_FEW, ALPHABETS, complement, factors, palindrome_count,
+                           palindrome_set, reverse)
 
 binary = st.text(alphabet="01", max_size=60)
 quaternary = st.text(alphabet="0123", max_size=50)
@@ -37,14 +38,98 @@ def test_palindrome_set_small():
     assert palindrome_count("0") == 2
 
 
-def test_palindrome_set_periodic_baseline():
-    w = ("001011" * 20000)[:100000]
-    assert palindrome_count(w) == 9
-
-
 @given(quaternary)
 def test_palindrome_scan_agreement(w):
     assert palindrome_set(w) == palindrome_set_scan(w)
+
+
+def _assert_agrees(w):
+    want = palindrome_set_scan(w)
+    assert palindrome_set(w) == want, w
+    assert palindrome_count(w) == len(want), w
+
+
+def _canonical_words(max_len, letters=4):
+    """Every word of at most max_len letters whose letters first occur in
+    the order 0, 1, 2, 3: one word for each class of words equal up to a
+    renaming of the letters, which maps palindromic factors one to one."""
+    level = [""]
+    for _ in range(max_len + 1):
+        yield from level
+        level = [w + c for w in level
+                 for c in ALPHABETS[min(len(set(w)) + 1, letters)]]
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_palindromes_of_every_short_word():
+    """Every word over 1-4 letters of at most 10 letters, the empty word
+    included, up to a renaming of its letters."""
+    count = 0
+    for w in _canonical_words(10):
+        _assert_agrees(w)
+        count += 1
+    assert count == 1 + sum(sum(_stirling2(n, k) for k in range(1, 5))
+                            for n in range(1, 11))
+
+
+def test_palindromes_of_random_words():
+    rng = random.Random(32)
+    for letters in ("0", "01", "012", "0123", "13", "302"):
+        for _ in range(300):
+            _assert_agrees("".join(rng.choice(letters)
+                                   for _ in range(rng.randint(0, 80))))
+
+
+def test_palindromes_across_the_closure_limit():
+    """Words on both sides of _FEW palindromes: (01)^k has 2k + 1 with the
+    empty word, so it crosses _FEW at k = _FEW / 2, and 0^k has k + 1, so it
+    crosses at k = _FEW; random binary words of 300 letters lie far above."""
+    for k in range(_FEW // 2 - 3, _FEW + 4):
+        for w in ("01" * k, "0" * k, "0" * k + "1"):
+            _assert_agrees(w)
+    assert palindrome_count("01" * (_FEW // 2)) == _FEW + 1
+    assert palindrome_count("0" * (_FEW - 1)) == _FEW
+    assert palindrome_count("0" * _FEW) == _FEW + 1
+    rng = random.Random(300)
+    for _ in range(20):
+        _assert_agrees("".join(rng.choice("01") for _ in range(300)))
+
+
+@pytest.mark.parametrize("name,count", [("001011", 9), ("mu_p", 18),
+                                        ("nu_p", 20), ("p", 10)])
+def test_palindromes_of_long_prefixes(name, count):
+    w = named_stream(name).prefix(100000)
+    assert len(w) == 100000
+    assert palindrome_count(w) == count
+    assert palindrome_set(w) == palindrome_set_scan(w)
+
+
+def test_closure_builds_no_tree_below_the_limit(monkeypatch):
+    """A word with at most _FEW palindromes is answered without one eertree
+    push; (01)^200, with 401, goes through the tree."""
+    pushes = []
+    push = Eertree.push
+
+    def counted(tree, c):
+        pushes.append(c)
+        return push(tree, c)
+
+    monkeypatch.setattr(Eertree, "push", counted)
+    w = ("001011" * 2000)[:10000]
+    assert palindrome_count(w) == 9 and len(palindrome_set(w)) == 9
+    assert pushes == []
+    w = "01" * 200
+    assert palindrome_count(w) == 401
+    assert len(pushes) == 400
+    assert palindrome_set(w) == palindrome_set_scan(w)
+    assert len(pushes) == 800
 
 
 @given(binary)

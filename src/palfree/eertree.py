@@ -1,10 +1,13 @@
-"""Palindromic tree (eertree) with O(1) undo, for backtracking searches.
+"""Palindromic tree (eertree) with persistent nodes, for backtracking searches.
 
-Each push appends one letter and creates at most one node (the longest new
-palindromic suffix); pop reverses exactly one accepted push.  Node 0 is the
-imaginary root of length -1, node 1 the empty word.  See Rubinchik and
-Shur, "EERTREE: an efficient data structure for processing palindromes in
-strings" (Eur. J. Comb. 2018).
+A node is a palindrome.  Its length, edges and direct links depend on the
+palindrome alone, so a node, once built, stays valid for every word the
+tree holds later and is never deleted; a search that pushes and pops the
+same few palindromes builds each of them once.  Which nodes the current
+word holds is kept apart, in born.  Node 0 is the imaginary root of length
+-1, node 1 the empty word.  See Rubinchik and Shur, "EERTREE: an efficient
+data structure for processing palindromes in strings" (Eur. J. Comb.
+2018), for the tree and its direct links.
 """
 
 from __future__ import annotations
@@ -13,91 +16,108 @@ import sys
 
 
 class Eertree:
-    """The undo log holds one int per push, the longest palindromic suffix
-    before it.  Nodes are created in push order and each ends at the
-    position of the push that made it, so the newest node was made by the
-    push being undone exactly when it ends at the popped position; pop then
-    deletes it and the edge from its parent.
+    """The word is s[1..n], and lasts[k] is the longest palindromic suffix
+    of its first k letters.  born[v] is the end position of the first
+    occurrence of v in the word, or 0 when the word does not hold v.  A
+    push writes s and lasts at n + 1 over what a popped branch left there,
+    so nothing is logged for undo.  The only palindrome whose first
+    occurrence can end at n is lasts[n], so pop clears born[lasts[n]] when
+    it equals n and lowers n.
 
-    With a cap, a push that would create a node while the tree already
-    holds cap nodes (both roots included) is refused: it returns False and
-    leaves the tree as it was, so a refused push is not popped."""
+    direct[v][c] is the longest proper palindromic suffix of v that is
+    preceded by c inside v; a missing entry stands for the imaginary root,
+    which every letter extends.  One lookup finds the suffix that a pushed
+    letter extends, and the suffix link of a new node, where suffix links
+    would loop.  A new node's table is its suffix link's with one entry
+    set.
 
-    __slots__ = ("s", "lens", "link", "to", "end", "parent", "last", "trail", "cap")
+    With a cap, a push that would make a palindrome alive while count()
+    is at the cap is refused: it returns False and leaves the word as it
+    was, so a refused push is not popped.  It may still build the node."""
+
+    __slots__ = ("s", "n", "lasts", "lens", "to", "direct", "born", "alive", "cap")
 
     def __init__(self, cap: int | None = None):
-        # s[0] is a sentinel equal to no letter, so the suffix-link walks need
-        # no bounds test; letter i of the word is s[i + 1]
+        # s[0] is a sentinel equal to no letter, so the letter before a
+        # suffix as long as the word differs from every pushed letter
         self.s: list[str] = [""]
+        self.n = 0
+        self.lasts = [1]
         self.lens = [-1, 0]
-        self.link = [0, 0]
         self.to: list[dict] = [{}, {}]
-        self.end = [-1, -1]  # index in s of the node's first occurrence's last letter
-        self.parent = [0, 0]
-        self.last = 1
-        self.trail: list[int] = []
+        self.direct: list[dict] = [{}, {}]
+        self.born = [0, 0]
+        self.alive = 0  # nodes with born > 0
         self.cap = cap if cap is not None else sys.maxsize
 
     def push(self, c: str) -> int | None | bool:
-        """Append letter c; return the new node id, None if the longest
-        palindromic suffix was already known, or False, with nothing
-        appended, if a new node would pass the cap."""
-        s, lens, link = self.s, self.lens, self.link
-        i = len(s)
-        s.append(c)
-        v = last = self.last
-        while s[i - lens[v] - 1] != c:
-            v = link[v]
-        to_v = self.to[v]
-        node = to_v.get(c)
-        if node is not None:
-            self.trail.append(last)
-            self.last = node
+        """Append letter c; return the node that the new longest
+        palindromic suffix makes alive, None if the word already held it,
+        or False, with nothing appended, if it did not and count() is at
+        the cap."""
+        s, lasts = self.s, self.lasts
+        i = self.n + 1
+        if i < len(s):
+            s[i] = c
+        else:
+            s.append(c)
+            lasts.append(1)
+        v = lasts[i - 1]
+        if s[i - 1 - self.lens[v]] != c:
+            v = self.direct[v].get(c, 0)
+        node = self.to[v].get(c)
+        if node is None:
+            node = self._build(v, c, i)
+        lasts[i] = node  # past the word until n = i
+        born = self.born
+        if born[node]:
+            self.n = i
             return None
-        node = len(lens)
-        if node >= self.cap:
-            s.pop()
+        if self.alive >= self.cap:
             return False
+        born[node] = i
+        self.alive += 1
+        self.n = i
+        return node
+
+    def _build(self, v: int, c: str, i: int) -> int:
+        """The node of cvc, whose occurrence ends at s[i]."""
+        lens = self.lens
         if v:
-            u = link[v]
-            while s[i - lens[u] - 1] != c:
-                u = link[u]
-            lnk = self.to[u][c]
+            # cuc for the longest proper suffix u of v preceded by c; it
+            # occurs earlier in the word, so its node exists
+            lnk = self.to[self.direct[v].get(c, 0)][c]
         else:
             lnk = 1  # a single letter's longest proper palindromic suffix is empty
-        self.trail.append(last)
-        self.last = to_v[c] = node
+        table = dict(self.direct[lnk])
+        table[self.s[i - lens[lnk]]] = lnk
+        node = len(lens)
+        self.to[v][c] = node
         lens.append(lens[v] + 2)
-        link.append(lnk)
         self.to.append({})
-        self.end.append(i)
-        self.parent.append(v)
+        self.direct.append(table)
+        self.born.append(0)
         return node
 
     def pop(self) -> None:
-        s = self.s
-        i = len(s) - 1
-        node = len(self.lens) - 1
-        if self.end[node] == i:
-            del self.to[self.parent[node]][s[i]]
-            self.lens.pop()
-            self.link.pop()
-            self.to.pop()
-            self.end.pop()
-            self.parent.pop()
-        self.last = self.trail.pop()
-        s.pop()
+        n = self.n
+        node = self.lasts[n]
+        if self.born[node] == n:
+            self.born[node] = 0
+            self.alive -= 1
+        self.n = n - 1
 
     def count(self) -> int:
         """Distinct non-empty palindromic factors of the current word."""
-        return len(self.lens) - 2
+        return self.alive
 
     def node_word(self, node: int) -> str:
-        end = self.end[node] + 1
+        """The palindrome of an alive node."""
+        end = self.born[node] + 1
         return "".join(self.s[end - self.lens[node]:end])
 
     def alive_words(self) -> list[str]:
-        return [self.node_word(v) for v in range(2, len(self.lens))]
+        return [self.node_word(v) for v in range(2, len(self.lens)) if self.born[v]]
 
     def __len__(self) -> int:
-        return len(self.s) - 1
+        return self.n

@@ -85,9 +85,6 @@ class _Letters:
         self.n = n + 1
         return True
 
-    def pop(self) -> None:
-        self.n -= 1
-
 
 class ConstraintState:
     """Push/pop state for all constraint kinds at once.
@@ -106,8 +103,8 @@ class ConstraintState:
 
     def __init__(self, c: SearchConstraints):
         budget = c.palindrome_budget
-        # Eertree nodes allowed: both roots plus budget - 1 non-empty palindromes
-        self.tree = Eertree(budget + 1) if budget is not None else None
+        # the empty word is one of the budget's palindromes
+        self.tree = Eertree(budget - 1) if budget is not None else None
         self.forbidden = tuple(c.forbidden_factors)
         if c.exponent:
             self.text = IncrementalFreeChecker(c.exponent)
@@ -135,7 +132,7 @@ class ConstraintState:
             self.refused = False
             return
         if self.text is not None:
-            self.text.pop()
+            self.text.n -= 1
         if self.tree is not None:
             self.tree.pop()
 

@@ -9,8 +9,10 @@ the letters outward with one substring test per palindrome and letter, so
 a word with at most _FEW palindromes costs a few dozen C-level searches,
 not one Python step per letter.  The palindromic tree (eertree.Eertree)
 keeps two roles: the palindrome budgets of the backtracking searches,
-where it grows and shrinks with the word, and the fallback for a word
-with more than _FEW palindromes, whose count it finds in O(|w|).
+where the word grows and shrinks while each palindrome's node, once built,
+persists and born marks the ones the word holds, and the fallback for a
+word with more than _FEW palindromes, whose count it finds in O(|w|) with
+one direct-link lookup per letter.
 """
 
 from __future__ import annotations

@@ -297,7 +297,8 @@ def test_walk_budget_frontier_and_stop_are_exact(c, depth):
     for k in range(1, len(full) + 1):
         seen, _, rest, state = _walk(c, depth, [""], stop_at=k)
         assert seen == full[:k] and rest is None
-        assert len(state.tree) == 0 and state.text.n == 0, k
+        assert len(state.tree) == 0 and state.tree.count() == 0, k
+        assert state.text.n == 0, k
 
 
 def test_estimate_growth_exact_geometric():

@@ -158,7 +158,8 @@ def test_complement_requires_binary():
 
 def test_eertree_undo_random():
     """Random push/pop walks agree with the definitional scan after every
-    step, including pops made straight after a push that created a node."""
+    step, including pops made straight after a push that made a palindrome
+    alive."""
     for letters in ("01", "012"):
         rng = random.Random(99)
         tree = Eertree()
@@ -183,23 +184,23 @@ def test_eertree_undo_random():
         assert undone_nodes > 100
 
 
-def _slots(tree):
-    """Every slot of an Eertree, copied."""
-    return (list(tree.s), list(tree.lens), list(tree.link),
-            [dict(edges) for edges in tree.to], list(tree.end),
-            list(tree.parent), tree.last, list(tree.trail), tree.cap)
+def _observed(tree):
+    """What an Eertree shows of its word: the word, its palindrome count and
+    its live palindromes."""
+    return "".join(tree.s[1:len(tree) + 1]), tree.count(), sorted(tree.alive_words())
 
 
 @pytest.mark.parametrize("budget", range(13))
 def test_capped_eertree_matches_uncapped(budget):
-    """Random push/pop walks on an Eertree capped at budget + 1 nodes: a
-    push refused by the cap returns False and leaves every slot as it was
-    (so it is not popped), an accepted push returns the node id of an
-    uncapped tree fed the same letters, and the live palindromes are those
-    of the definitional scan."""
+    """Random push/pop walks on an Eertree capped at budget - 1 non-empty
+    palindromes, as a search with that palindrome budget caps it: a push
+    refused by the cap returns False and leaves the word, its count and its
+    live palindromes as they were (so it is not popped), an accepted push
+    names the palindrome that an uncapped tree fed the same letters names,
+    and the live palindromes are those of the definitional scan."""
     for letters in ("01", "012"):
         rng = random.Random(budget * 10 + len(letters))
-        capped, free = Eertree(budget + 1), Eertree()
+        capped, free = Eertree(budget - 1), Eertree()
         word = ""
         refused = 0
         for _ in range(600):
@@ -209,22 +210,70 @@ def test_capped_eertree_matches_uncapped(budget):
                 word = word[:-1]
                 continue
             c = rng.choice(letters)
-            before = _slots(capped)
+            before = _observed(capped)
             got, want = capped.push(c), free.push(c)
             if got is False:
                 refused += 1
-                assert _slots(capped) == before
-                # the uncapped tree made a node past the cap
-                assert want is not None and want >= budget + 1
+                assert _observed(capped) == before
+                # the uncapped tree made a palindrome alive past the cap
+                assert want and free.count() == max(budget, 1)
                 free.pop()
             else:
-                assert got == want
                 word += c
+                if got is None:
+                    assert want is None
+                else:
+                    assert want and capped.node_word(got) == free.node_word(want)
+                    assert word.endswith(capped.node_word(got))
             pals = palindrome_set_scan(word) - {""}
-            assert len(pals) <= max(budget, 0)
+            assert len(pals) <= max(budget - 1, 0)
+            assert _observed(capped) == _observed(free) == (word, len(pals), sorted(pals))
             assert len(capped) == len(word)
-            assert sorted(capped.alive_words()) == sorted(pals)
         assert refused > 0
+
+
+def _longest_palindromic_suffix(w):
+    return next(w[i:] for i in range(len(w) + 1) if w[i:] == w[i:][::-1])
+
+
+@pytest.mark.parametrize("cap", range(13))
+def test_eertree_nodes_outlive_their_words(cap):
+    """Random walks that pop deep and then push a letter other than the one
+    popped at that position leave many built palindromes out of the word,
+    and bring some back; after every step the live ones are exactly the
+    scan's, and the tree has built no more nodes than the distinct
+    palindromes its pushes offered as the word's new longest palindromic
+    suffix."""
+    for letters in ("01", "012"):
+        rng = random.Random(cap * 10 + len(letters))
+        tree = Eertree(cap)
+        word, avoid = "", None
+        offered = set()
+        most_dead = revived = 0
+        for _ in range(500):
+            if word and rng.random() < 0.3:
+                keep = rng.randrange(len(word))
+                for _ in range(len(word) - keep):
+                    tree.pop()
+                word, avoid = word[:keep], word[keep]
+            else:
+                c = rng.choice([x for x in letters if x != avoid])
+                avoid = None
+                suffix = _longest_palindromic_suffix(word + c)
+                again = suffix in offered
+                offered.add(suffix)
+                got = tree.push(c)
+                if got is not False:
+                    word += c
+                    revived += bool(got and again)
+            pals = palindrome_set_scan(word) - {""}
+            assert len(tree) == len(word)
+            assert sorted(tree.alive_words()) == sorted(pals)
+            assert tree.count() == len(pals) <= cap
+            built = len(tree.lens) - 2
+            assert built <= len(offered)
+            most_dead = max(most_dead, built - len(pals))
+        assert most_dead > 2 * cap and (revived or cap == 0), (letters, most_dead)
 
 
 def test_factor_set_wrapper(p_word):

@@ -93,13 +93,12 @@ class ConstraintState:
     refuses the letter: the palindrome budget (an Eertree capped at the
     budget), then the exponent bound (an IncrementalFreeChecker), then the
     forbidden factors, tested with str.endswith on text, the checker or,
-    without an exponent bound, a bare letter buffer.  A letter the budget
-    refuses is appended nowhere, and the flag refused makes the pop that
-    follows it a no-op.  Every push, refused or not, is paired with one pop,
-    that of a refused push before the next push, as walk does.  The callers
-    keep the words they walk."""
+    without an exponent bound, a bare letter buffer.  A refused push leaves
+    the state as it was: the budget appends nowhere, and a refusal by text
+    undoes text's letter and the tree's.  pop undoes one accepted push.
+    The callers keep the words they walk."""
 
-    __slots__ = ("tree", "forbidden", "text", "refused")
+    __slots__ = ("tree", "forbidden", "text")
 
     def __init__(self, c: SearchConstraints):
         budget = c.palindrome_budget
@@ -110,27 +109,25 @@ class ConstraintState:
             self.text = IncrementalFreeChecker(c.exponent)
         else:
             self.text = _Letters() if self.forbidden else None
-        self.refused = False  # the last push was refused by the budget
 
     def push(self, ch: str) -> bool:
-        """Append ch; False when the extension violates a constraint.
-        Always pair with pop(), before the next push when refused."""
+        """Append ch; False, with nothing appended, when the extension
+        violates a constraint."""
         tree = self.tree
         if tree is not None and tree.push(ch) is False:
-            self.refused = True
             return False
         text = self.text
         if text is None:
             return True
-        if not text.push(ch):
-            return False
         forbidden = self.forbidden
-        return not (forbidden and text.buf.endswith(forbidden, 0, text.n))
+        if text.push(ch) and not (forbidden and text.buf.endswith(forbidden, 0, text.n)):
+            return True
+        text.n -= 1
+        if tree is not None:
+            tree.pop()
+        return False
 
     def pop(self) -> None:
-        if self.refused:
-            self.refused = False
-            return
         if self.text is not None:
             self.text.n -= 1
         if self.tree is not None:
@@ -163,8 +160,9 @@ def walk(state, letters: str, depth: int, visit, roots: list[str],
     """Depth-first walk, below each root in turn, over the words of at most
     depth letters that state.push accepts letter by letter, letters in order.
 
-    state is any push/pop object (ConstraintState, IncrementalFreeChecker,
-    ImageState); every push is paired with a pop by the time walk returns.
+    state is a push/pop object (ConstraintState, ImageState) whose refused
+    push leaves it as it was and whose pop undoes one accepted push; walk
+    pops every accepted push by the time it returns, and nothing else.
     visit(word) runs on every accepted non-empty word; a true result stops
     the walk.  Returns (nodes, frontier): nodes counts the pushes made below
     the roots; once node_budget pushes are spent, frontier is the unexplored
@@ -184,10 +182,11 @@ def walk(state, letters: str, depth: int, visit, roots: list[str],
         # being stacked
         word, tried, base = root, [width], len(root)
         rest, stop = None, False
-        pushed = 0  # the root's pushes
-        for pushed, ch in enumerate(root, 1):
+        pushed = 0  # the root's accepted pushes
+        for ch in root:
             if not push(ch):
                 break
+            pushed += 1
         else:
             if root and visit(root):
                 stop = True
@@ -219,7 +218,7 @@ def walk(state, letters: str, depth: int, visit, roots: list[str],
                     word = child
                     tried.append(0)
                     continue
-            pop()
+                pop()
         for _ in range(pushed + len(tried) - 1):
             pop()
         if stop or rest is not None:

@@ -14,7 +14,7 @@ from math import ceil
 
 from .morphisms import Morphism, load_morphism
 from .repetition import ExponentBound, IncrementalFreeChecker, is_free
-from .search import walk
+from .search import ConstraintState, SearchConstraints, walk
 from .words import ALPHABETS, palindrome_cut_index, palindrome_set
 
 PAL_WINDOW_CAP = 64
@@ -92,9 +92,9 @@ class ImageState:
     A letter the source bound accepts pushes its image onto target with
     one push_block call, whose answer got keeps: False when a violation
     ends in the image.  push_block pushes the whole image either way, so
-    pop drops its q letters in one step.  A refused source letter pushes
-    nothing, and the flag refused makes the pop that follows it pop the
-    source letter only, as in search.ConstraintState."""
+    pop drops its q letters in one step, and the source letter.  A refused
+    source letter is undone in push, which leaves both words as they were,
+    as in search.ConstraintState."""
 
     def __init__(self, inst: TransferInstance, target: IncrementalFreeChecker):
         self.source = IncrementalFreeChecker(inst.source_bound)
@@ -102,20 +102,16 @@ class ImageState:
         self.images = inst.h.images
         self.q = inst.q
         self.got = False
-        self.refused = False  # the last push was refused by the source bound
 
     def push(self, c: str) -> bool:
         if not self.source.push(c):
-            self.refused = True
+            self.source.n -= 1
             return False
         self.got = self.target.push_block(self.images[int(c)])
         return True
 
     def pop(self) -> None:
-        if self.refused:
-            self.refused = False
-        else:
-            self.target.n -= self.q
+        self.target.n -= self.q
         self.source.pop()
 
 
@@ -193,8 +189,8 @@ def _palindromes_of_image_language(inst: TransferInstance, window: int) -> dict[
             if pal and found.get(pal, d) >= d:
                 found[pal] = d
 
-    walk(IncrementalFreeChecker(inst.source_bound), ALPHABETS[inst.h.source_size],
-         window, visit, [""])
+    walk(ConstraintState(SearchConstraints(inst.h.source_size, inst.source_bound)),
+         ALPHABETS[inst.h.source_size], window, visit, [""])
     return found
 
 

@@ -119,8 +119,8 @@ def test_count_words_matches_brute_force(size, spec, budget, forbidden, n):
 def test_constraint_state_matches_definitions(use_bound, use_budget, use_forbidden,
                                               size, spec, budget, forbidden, steps):
     """Every verdict of a random push/pop sequence equals the definitions on
-    the live word; a refused letter is popped before the next push, as in
-    walk."""
+    the live word, and a refused push leaves the state as it was, so only
+    accepted pushes are popped, as in walk."""
     letters = ALPHABETS[size]
     bound = ExponentBound.parse(spec) if use_bound else None
     budget = budget if use_budget else None
@@ -137,11 +137,20 @@ def test_constraint_state_matches_definitions(use_bound, use_budget, use_forbidd
         want = ((bound is None or _first_violation_scan(longer, bound) is None)
                 and (budget is None or len(palindrome_set_scan(longer)) <= budget)
                 and not any(f in longer for f in forbidden))
+        before = _layers(state)
         assert state.push(ch) == want, (word, ch)
         if want:
             word = longer
         else:
-            state.pop()
+            assert _layers(state) == before, (word, ch)
+
+
+def _layers(state):
+    """The word length and palindrome count of the tree and the word of
+    the text, for the layers state has."""
+    tree, text = state.tree, state.text
+    return ((len(tree), tree.count()) if tree is not None else None,
+            (text.n, text.buf[:text.n]) if text is not None else None)
 
 
 def test_count_words_monotone_under_tightening():

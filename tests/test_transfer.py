@@ -7,7 +7,7 @@ import palfree.transfer as T
 from conftest import palindrome_set_scan
 from palfree.morphisms import Morphism
 from palfree.repetition import ExponentBound, IncrementalFreeChecker, is_free
-from palfree.search import walk
+from palfree.search import ConstraintState, SearchConstraints, walk
 from palfree.transfer import (ImageState, TransferInstance,
                               _palindromes_of_image_language, load_instance,
                               mrs_threshold, palindrome_cut_index,
@@ -22,8 +22,8 @@ def enumerate_free_words(alphabet_size: int, bound: ExponentBound, max_len: int)
     """Every bound-free word of length <= max_len over 0..d-1, the empty
     word first, within each length in lexicographic order."""
     out = [""]
-    walk(IncrementalFreeChecker(bound), ALPHABETS[alphabet_size], max_len,
-         out.append, [""])
+    walk(ConstraintState(SearchConstraints(alphabet_size, bound)),
+         ALPHABETS[alphabet_size], max_len, out.append, [""])
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -81,9 +81,8 @@ def test_image_state_pushes_and_pops_images():
     assert target.w == "101001"
     state.pop()
     assert (state.source.w, target.w) == ("1", "101")
-    # a refused source letter pushes nothing, and its pop pops no target letter
-    assert state.push("1") and not state.push("1") and target.w == "101101"
-    state.pop()
+    # a refused source letter leaves both words as they were, with no pop
+    assert state.push("1") and not state.push("1")
     assert (state.source.w, target.w) == ("11", "101101")
     state.pop()
     state.pop()
@@ -131,7 +130,8 @@ def test_verify_transfer_walks_the_morphism_source_alphabet():
 class PerLetterImageState:
     """Oracle for ImageState over an IncrementalFreeChecker target: the q
     image letters are pushed one at a time, and got is True when the target
-    accepted every one of them."""
+    accepted every one of them.  A refused source letter is popped in push,
+    so a refused push leaves both words as they were."""
 
     def __init__(self, inst):
         self.source = IncrementalFreeChecker(inst.source_bound)
@@ -142,7 +142,7 @@ class PerLetterImageState:
 
     def push(self, c):
         if not self.source.push(c):
-            self.sizes.append(0)
+            self.source.pop()
             return False
         image = self.images[int(c)]
         self.got = all([self.target.push(x) for x in image])
